@@ -7,16 +7,13 @@ with a cosine-embedding verification loss (margin hinge on negatives).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SgdConfig, Tensor, glorot_uniform, sgd_step
-from .embeddings import Instance, PartEmbedding, R_PARTS, fused_similarity, part_cosines
+from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
+from .embeddings import PartEmbedding, R_PARTS, fused_similarity, part_cosines
 from .errors import ConfigError, DataError, DimensionError, UsageError
-
-log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = 256
 
@@ -31,8 +28,10 @@ class VerificationConfig:
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParamSet):
     """fc1 -> ReLU -> fc2 -> softmax over the 4 parts."""
+
+    PREFIX = "attention"
 
     w1: Tensor  # (hidden, 2*R*d)
     b1: Tensor  # (hidden, 1)
@@ -40,32 +39,8 @@ class AttentionParams:
     b2: Tensor  # (R, 1)
 
     @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.w1.shape[1] // (2 * R_PARTS)
-
-    def tensors(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def to_entries(self) -> dict:
-        return {
-            "attention/w1": self.w1.data,
-            "attention/b1": self.b1.data,
-            "attention/w2": self.w2.data,
-            "attention/b2": self.b2.data,
-        }
-
-    @staticmethod
-    def from_entries(entries: dict) -> "AttentionParams":
-        try:
-            return AttentionParams(
-                *(Tensor(entries[f"attention/{k}"], requires_grad=True) for k in ("w1", "b1", "w2", "b2"))
-            )
-        except KeyError as e:
-            raise DataError(f"checkpoint is missing attention parameter {e}") from e
 
 
 def init_attention_params(rng: np.random.Generator, d: int, hidden: int = DEFAULT_HIDDEN) -> AttentionParams:
@@ -84,43 +59,28 @@ def order_pair(a: PartEmbedding, b: PartEmbedding):
 
 
 def pair_descriptor(a: PartEmbedding, b: PartEmbedding) -> np.ndarray:
-    """Concatenated per-part descriptors [a_r || b_r], fixed part order; (2Rd, 1)."""
-    cols = []
-    for r in range(R_PARTS):
-        cols.append(a.parts[r])
-        cols.append(b.parts[r])
-    return np.concatenate(cols).reshape(-1, 1)
+    """Concatenated per-part descriptors [a_r || b_r], fixed part order; (2Rd,)."""
+    return np.concatenate((a.parts, b.parts), axis=1).reshape(-1)
 
 
-def weights_from_descriptor(params: AttentionParams, x: Tensor) -> Tensor:
-    """Forward pass on the tape; returns the (4, 1) softmax weights."""
-    if x.shape[0] != params.w1.shape[1]:
+def attention_forward(params: AttentionParams, x: Tensor) -> Tensor:
+    """The head on a batch: (B, 2Rd) descriptors -> (B, 4) softmax weights."""
+    width = params.w1.shape[1]
+    if x.data.ndim != 2 or x.shape[1] != width:
         raise DimensionError(
-            f"descriptor length {x.shape[0]} does not match parameters "
-            f"(expect {params.w1.shape[1]} = 2*R*d)"
+            f"descriptor batch of shape {x.shape} does not match parameters (expect (B, {width}), {width} = 2*R*d)"
         )
-    h = (params.w1 @ x + params.b1).relu()
-    logits = params.w2 @ h + params.b2
-    return logits.softmax()
-
-
-def attention_weights(params: AttentionParams, a: PartEmbedding, b: PartEmbedding) -> np.ndarray:
-    a, b = order_pair(a, b)
-    w = weights_from_descriptor(params, Tensor(pair_descriptor(a, b)))
-    return w.data.reshape(-1)
+    return x.linear(params.w1, params.b1).relu().linear(params.w2, params.b2).softmax()
 
 
 def attention_weights_batch(params: AttentionParams, descriptors: np.ndarray) -> np.ndarray:
-    """Vectorized inference for (B, 2Rd) descriptors; returns (B, 4) weights."""
-    h = np.maximum(descriptors @ params.w1.data.T + params.b1.data.reshape(-1), 0.0)
-    logits = h @ params.w2.data.T + params.b2.data.reshape(-1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Inference for (B, 2Rd) descriptors; returns (B, 4) weights."""
+    return attention_forward(params, Tensor(descriptors)).data
 
 
 def attention_similarity(params: AttentionParams, a: PartEmbedding, b: PartEmbedding) -> float:
-    return fused_similarity(a, b, attention_weights(params, a, b))
+    w = attention_weights_batch(params, pair_descriptor(*order_pair(a, b))[None])
+    return fused_similarity(a, b, w[0])
 
 
 def verification_loss(s: float, y: int, cfg: VerificationConfig) -> float:
@@ -132,30 +92,26 @@ def verification_loss(s: float, y: int, cfg: VerificationConfig) -> float:
     raise UsageError(f"verification label must be +1 or -1, got {y!r}")
 
 
-def pair_loss(
-    params: AttentionParams,
-    a: PartEmbedding,
-    b: PartEmbedding,
-    y: int,
-    cfg: VerificationConfig,
-    descriptor: Tensor = None,
-) -> Tensor:
-    """Tape-building loss for one pair: verification loss of the fused similarity.
+def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig, descriptors: Tensor = None) -> Tensor:
+    """Tape-building mean verification loss of the fused similarity over a
+    minibatch of (PartEmbedding, PartEmbedding, y) pairs.
 
-    ``descriptor`` may be passed explicitly (e.g. a requires_grad leaf for
-    gradient checks); it must already be in canonical order.
+    ``descriptors`` may be passed explicitly (e.g. a requires_grad leaf for
+    gradient checks); its rows must already be in canonical pair order.
     """
-    if y not in (1, -1):
-        raise UsageError(f"verification label must be +1 or -1, got {y!r}")
-    a, b = order_pair(a, b)
-    if descriptor is None:
-        descriptor = Tensor(pair_descriptor(a, b))
-    w = weights_from_descriptor(params, descriptor)
-    cosines = Tensor(part_cosines(a, b).reshape(-1, 1))
-    s = w.mul(cosines).sum()
-    if y == 1:
-        return s.affine(-1.0, 1.0)
-    return s.affine(1.0, cfg.margin).relu()
+    for _, _, y in batch:
+        if y not in (1, -1):
+            raise UsageError(f"verification label must be +1 or -1, got {y!r}")
+    pairs = [order_pair(a, b) for a, b, _ in batch]
+    if descriptors is None:
+        descriptors = Tensor(np.stack([pair_descriptor(a, b) for a, b in pairs]))
+    w = attention_forward(params, descriptors)
+    cosines = Tensor(np.stack([part_cosines(a, b) for a, b in pairs]))
+    s = (w * cosines).sum(axis=-1)
+    # 1 - s for positives (never negative, as s <= 1), max(0, s + margin) for negatives
+    positive = np.array([y == 1 for _, _, y in batch])
+    losses = (s * Tensor(np.where(positive, -1.0, 1.0)) + Tensor(np.where(positive, 1.0, cfg.margin))).relu()
+    return losses.sum().affine(1.0 / len(batch))
 
 
 def build_training_pairs(scenes, rng: np.random.Generator, negative_pool_factor: int = 10):
@@ -227,26 +183,15 @@ def train_attention(
     d = positives[0][0].embedding.dim
     rng = np.random.default_rng(cfg.seed)
     params = init_attention_params(rng, d, hidden)
+    n_neg = min(len(negatives), neg_ratio * len(positives))
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr_at_epoch(epoch)
-        n_neg = min(len(negatives), neg_ratio * len(positives))
+    def draw(rng):
         chosen = rng.choice(len(negatives), size=n_neg, replace=False)
-        epoch_pairs = positives + [negatives[i] for i in chosen]
-        order = rng.permutation(len(epoch_pairs))
+        return positives + [negatives[i] for i in chosen]
 
-        total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [epoch_pairs[i] for i in order[start : start + cfg.batch_size]]
-            loss = pair_loss(params, batch[0][0].embedding, batch[0][1].embedding, batch[0][2], vcfg)
-            for a, b, y in batch[1:]:
-                loss = loss + pair_loss(params, a.embedding, b.embedding, y, vcfg)
-            loss = loss.scale(1.0 / len(batch))
-            loss.backward()
-            sgd_step(params.tensors(), lr)
-            total += loss.item() * len(batch)
-        mean_loss = total / len(order)
-        if epoch_losses is not None:
-            epoch_losses.append(mean_loss)
-        log.info("attention epoch %d/%d lr=%.4g mean_loss=%.6f", epoch, cfg.epochs, lr, mean_loss)
+    def batch_loss(batch):
+        return pair_loss(params, [(a.embedding, b.embedding, y) for a, b, y in batch], vcfg)
+
+    fit(params.tensors(), cfg, rng, draw, batch_loss,
+        "attention epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
     return params

@@ -1,30 +1,45 @@
 """Tiny reverse-mode autodiff over dense float64 arrays, plus SGD.
 
 The computation tape is rebuilt on every forward pass and torn down by
-``backward``; there is no graph caching. Everything is 64-bit so analytic
-gradients can be validated against central finite differences tightly.
+``backward``; there is no graph caching. Operations take a leading batch
+axis, so one tape covers a whole minibatch, and the same forward runs on
+constant inputs at inference. Everything is 64-bit so analytic gradients
+can be validated against central finite differences tightly.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "Tensor",
+    "ParamSet",
     "SgdConfig",
     "glorot_uniform",
     "sgd_step",
+    "fit",
     "save_checkpoint",
     "load_checkpoint",
     "numeric_gradient",
     "max_rel_error",
     "relu_kink_distance",
 ]
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum ``g`` down to ``shape``, undoing NumPy broadcasting."""
+    g = g.sum(axis=tuple(range(g.ndim - len(shape)))) if g.ndim > len(shape) else g
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 class Tensor:
@@ -37,13 +52,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_kink")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
-        self._kink = None  # distance to nearest ReLU kink, set by relu()
+        self._parents = ()
+        self._backward = None
+        self._kink = None  # ReLU pre-activations, set by relu()
 
     @property
     def shape(self):
@@ -56,11 +71,13 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, backward):
-        needs = any(p.requires_grad for p in parents)
-        t = Tensor(data, requires_grad=needs)
-        if needs:
-            t._parents = tuple(parents)
-            t._backward = backward
+        t = Tensor(data)
+        for p in parents:
+            if p.requires_grad:
+                t.requires_grad = True
+                t._parents = parents
+                t._backward = backward
+                break
         return t
 
     def _accumulate(self, g):
@@ -71,8 +88,10 @@ class Tensor:
     # -- operations -----------------------------------------------------
 
     def matmul(self, other: "Tensor") -> "Tensor":
+        """``self @ other`` for a matrix or a stack of matrices (..., m, k)
+        times one (k, n) matrix."""
         a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
             raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
         out = a @ b
 
@@ -80,51 +99,70 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(g @ b.T)
             if other.requires_grad:
-                other._accumulate(a.T @ g)
+                # one product over every stacked row sums the per-matrix gradients
+                other._accumulate(a.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
 
         return Tensor._result(out, (self, other), backward)
 
     def __matmul__(self, other):
         return self.matmul(other)
 
-    def _elementwise_check(self, other):
-        if self.data.shape != other.data.shape:
+    def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
+        """The layer ``self @ w.T + b`` on (B, n) rows, for an (m, n) weight
+        and m biases stored in any shape."""
+        x, wd, bd = self.data, w.data, b.data
+        if x.ndim != 2 or wd.ndim != 2 or x.shape[1] != wd.shape[1] or bd.size != wd.shape[0]:
+            raise DimensionError(f"linear: incompatible shapes {x.shape}, {wd.shape}, {bd.shape}")
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(g @ wd)
+            if w.requires_grad:
+                w._accumulate(g.T @ x)
+            if b.requires_grad:
+                b._accumulate(g.sum(axis=0).reshape(bd.shape))
+
+        return Tensor._result(x @ wd.T + bd.reshape(-1), (self, w, b), backward)
+
+    def left_mul(self, a: np.ndarray) -> "Tensor":
+        """Constant (n, n) matrix ``a`` times each (n, f) matrix of a (B, n, f) stack."""
+        x = self.data
+        if x.ndim != 3 or a.shape != (x.shape[1], x.shape[1]):
+            raise DimensionError(f"left_mul: incompatible shapes {a.shape} x {x.shape}")
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(np.einsum("ji,bjf->bif", a, g))
+
+        return Tensor._result(np.einsum("ij,bjf->bif", a, x), (self,), backward)
+
+    def _binary(self, other, op, d_self, d_other):
+        """Elementwise ``op`` with NumPy broadcasting; ``d_self`` and
+        ``d_other`` map the output adjoint to each operand's, before it is
+        summed back to the operand's shape."""
+        try:
+            out = op(self.data, other.data)
+        except ValueError:
             raise DimensionError(
-                f"elementwise op: shape mismatch {self.data.shape} vs {other.data.shape}"
-            )
+                f"elementwise op: shapes {self.data.shape} and {other.data.shape} do not broadcast"
+            ) from None
+
+        def backward(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(d_self(g), self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(d_other(g), other.data.shape))
+
+        return Tensor._result(out, (self, other), backward)
 
     def add(self, other: "Tensor") -> "Tensor":
-        self._elementwise_check(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g)
-            if other.requires_grad:
-                other._accumulate(g)
-
-        return Tensor._result(self.data + other.data, (self, other), backward)
+        return self._binary(other, np.add, lambda g: g, lambda g: g)
 
     def sub(self, other: "Tensor") -> "Tensor":
-        self._elementwise_check(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g)
-            if other.requires_grad:
-                other._accumulate(-g)
-
-        return Tensor._result(self.data - other.data, (self, other), backward)
+        return self._binary(other, np.subtract, lambda g: g, np.negative)
 
     def mul(self, other: "Tensor") -> "Tensor":
-        self._elementwise_check(other)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * other.data)
-            if other.requires_grad:
-                other._accumulate(g * self.data)
-
-        return Tensor._result(self.data * other.data, (self, other), backward)
+        return self._binary(other, np.multiply, lambda g: g * other.data, lambda g: g * self.data)
 
     __add__ = add
     __sub__ = sub
@@ -139,64 +177,71 @@ class Tensor:
 
         return Tensor._result(alpha * self.data + beta, (self,), backward)
 
-    def scale(self, alpha: float) -> "Tensor":
-        return self.affine(alpha)
-
     def relu(self) -> "Tensor":
-        mask = self.data > 0  # adjoint at exactly 0 is 0 by convention
-
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g * mask)
+                self._accumulate(g * (self.data > 0))  # adjoint at exactly 0 is 0 by convention
 
-        out = Tensor._result(np.where(mask, self.data, 0.0), (self,), backward)
-        out._kink = float(np.min(np.abs(self.data))) if self.data.size else np.inf
+        out = Tensor._result(np.maximum(self.data, 0.0), (self,), backward)
+        out._kink = self.data  # pre-activations, read by relu_kink_distance
         return out
 
     def softmax(self) -> "Tensor":
+        """Softmax along the last axis."""
         x = self.data
         if x.size == 0:
             raise DimensionError("softmax: empty input")
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError("softmax: non-finite input")
-        shifted = x - np.max(x)
+        shifted = x - x.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
-        s = e / np.sum(e)
+        s = e / e.sum(axis=-1, keepdims=True)
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(s * (g - np.sum(s * g)))
+                self._accumulate(s * (g - (s * g).sum(axis=-1, keepdims=True)))
 
         return Tensor._result(s, (self,), backward)
 
-    def cross_entropy_binary(self, label: int) -> "Tensor":
-        """Negative log softmax probability of ``label`` for a 2-logit tensor."""
-        if label not in (0, 1):
-            raise UsageError(f"cross_entropy_binary: label must be 0 or 1, got {label!r}")
-        x = self.data.reshape(-1)
-        if x.size != 2:
-            raise DimensionError(f"cross_entropy_binary: need 2 logits, got shape {self.data.shape}")
-        if not np.all(np.isfinite(x)):
+    def cross_entropy_binary(self, labels) -> "Tensor":
+        """Mean over rows of the negative log softmax probability of each
+        row's label; ``self`` holds (B, 2) logits, or one row of 2, and
+        ``labels`` one label in {0, 1} per row."""
+        x = self.data
+        if x.ndim not in (1, 2) or x.shape[-1] != 2:
+            raise DimensionError(f"cross_entropy_binary: need rows of 2 logits, got shape {x.shape}")
+        x = x.reshape(-1, 2)
+        labels = np.asarray(labels).reshape(-1)
+        if labels.shape[0] != x.shape[0]:
+            raise DimensionError(f"cross_entropy_binary: {labels.shape[0]} labels for {x.shape[0]} rows")
+        if not np.isin(labels, (0, 1)).all():
+            raise UsageError(f"cross_entropy_binary: labels must be 0 or 1, got {labels!r}")
+        if not np.isfinite(x).all():
             raise NumericError("cross_entropy_binary: non-finite logits")
-        m = np.max(x)
-        lse = m + np.log(np.sum(np.exp(x - m)))
-        loss = lse - x[label]
+        rows, labels = np.arange(x.shape[0]), labels.astype(np.intp)
+        m = x.max(axis=1, keepdims=True)
+        lse = m + np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+        scale = 1.0 / x.shape[0]
+        loss = scale * (lse[:, 0] - x[rows, labels]).sum()
         probs = np.exp(x - lse)
 
         def backward(g):
             if self.requires_grad:
                 grad = probs.copy()
-                grad[label] -= 1.0
-                self._accumulate((g * grad).reshape(self.data.shape))
+                grad[rows, labels] -= 1.0
+                self._accumulate(((g * scale) * grad).reshape(self.data.shape))
 
         return Tensor._result(loss, (self,), backward)
 
-    def sum(self) -> "Tensor":
+    def sum(self, axis=None) -> "Tensor":
+        """Sum of every element, or along one ``axis``."""
+
         def backward(g):
             if self.requires_grad:
-                self._accumulate(np.full_like(self.data, float(g)))
+                g = g if axis is None else np.expand_dims(g, axis)
+                self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return Tensor._result(self.data.sum(), (self,), backward)
+        return Tensor._result(self.data.sum(axis=axis), (self,), backward)
 
     def reshape(self, *shape) -> "Tensor":
         old = self.data.shape
@@ -208,17 +253,17 @@ class Tensor:
         return Tensor._result(self.data.reshape(*shape), (self,), backward)
 
     def concat(self, other: "Tensor") -> "Tensor":
-        """Concatenate two column vectors / 1-D tensors along axis 0."""
-        n = self.data.shape[0]
+        """Concatenate along the last axis."""
+        n = self.data.shape[-1]
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(g[:n])
+                self._accumulate(g[..., :n])
             if other.requires_grad:
-                other._accumulate(g[n:])
+                other._accumulate(g[..., n:])
 
         return Tensor._result(
-            np.concatenate([self.data, other.data], axis=0), (self, other), backward
+            np.concatenate([self.data, other.data], axis=-1), (self, other), backward
         )
 
     def item(self) -> float:
@@ -263,8 +308,8 @@ def relu_kink_distance(loss: Tensor) -> float:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._kink is not None:
-            best = min(best, node._kink)
+        if node._kink is not None and node._kink.size:
+            best = min(best, float(np.min(np.abs(node._kink))))
         stack.extend(node._parents)
     return best
 
@@ -287,8 +332,6 @@ class SgdConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        from .errors import ConfigError
-
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.epochs < 1:
@@ -314,6 +357,33 @@ def sgd_step(params, lr: float):
             raise UsageError("sgd_step: parameter has no gradient (call backward first)")
         p.data -= lr * p.grad
         p.grad = None
+
+
+def fit(params, cfg: SgdConfig, rng: np.random.Generator, draw, batch_loss, message: str,
+        epoch_losses: list = None):
+    """Minibatch SGD, shared by every trainer.
+
+    Each epoch takes its samples from ``draw(rng)``, shuffles them with
+    ``rng`` and makes one ``sgd_step`` on ``params`` per ``cfg.batch_size``
+    slice, on the mean loss Tensor that ``batch_loss(batch)`` builds.
+    ``message`` is the log format of the epoch line; it receives the epoch,
+    the epoch count, the learning rate and the mean loss over the epoch.
+    """
+    for epoch in range(1, cfg.epochs + 1):
+        lr = cfg.lr_at_epoch(epoch)
+        samples = draw(rng)
+        order = rng.permutation(len(samples))
+        total = 0.0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
+            loss = batch_loss(batch)
+            loss.backward()
+            sgd_step(params, lr)
+            total += loss.item() * len(batch)
+        mean_loss = total / len(order)
+        if epoch_losses is not None:
+            epoch_losses.append(mean_loss)
+        log.info(message, epoch, cfg.epochs, lr, mean_loss)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int, shape=None) -> np.ndarray:
@@ -350,32 +420,85 @@ def save_checkpoint(path, entries: dict):
 
 
 def load_checkpoint(path) -> dict:
-    from .errors import DataError
-
+    """Read a checkpoint written by ``save_checkpoint``. A short, padded or
+    otherwise malformed file raises DataError naming the file and the byte
+    offset."""
     with open(path, "rb") as f:
-        blob = f.read()
+        blob = memoryview(f.read())
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
     off = len(_CKPT_MAGIC)
-    version, count = struct.unpack_from("<II", blob, off)
-    off += 8
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(blob):
+            raise DataError(f"{path}: truncated at byte {len(blob)} reading {what} at byte {off}")
+        off += n
+        return blob[off - n : off]
+
+    def u32s(n, what):
+        return struct.unpack(f"<{n}I", take(4 * n, what))
+
+    version, count = u32s(2, "the header")
     if version != _CKPT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     entries = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{ndim}I", blob, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=off).reshape(shape)
-        off += 8 * n
-        entries[name] = arr.astype(np.float64)
+        (name_len,) = u32s(1, "a name length")
+        try:
+            name = bytes(take(name_len, "a name")).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: entry name at byte {off - name_len} is not utf-8") from e
+        (ndim,) = u32s(1, f"the rank of {name!r}")
+        shape = u32s(ndim, f"the shape of {name!r}")
+        raw = take(8 * math.prod(shape), f"the values of {name!r}")
+        entries[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if off != len(blob):
+        raise DataError(f"{path}: {len(blob) - off} trailing bytes after the last entry (byte {off})")
     return entries
+
+
+class ParamSet:
+    """Checkpoint entries of a dataclass of parameter Tensors.
+
+    Every field is a Tensor, except an optional ``layers`` list of Tensors.
+    Entries are named ``<PREFIX>/<field>`` and ``<PREFIX>/layer<i>`` and
+    written in field order.
+    """
+
+    PREFIX = ""
+
+    def _named(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                yield from ((f"{self.PREFIX}/layer{i}", t) for i, t in enumerate(value))
+            else:
+                yield f"{self.PREFIX}/{f.name}", value
+
+    def tensors(self) -> list:
+        return [t for _, t in self._named()]
+
+    def to_entries(self) -> dict:
+        return {name: t.data for name, t in self._named()}
+
+    @classmethod
+    def from_entries(cls, entries: dict):
+        def leaf(name):
+            if name not in entries:
+                raise DataError(f"checkpoint is missing {cls.PREFIX} parameter {name!r}")
+            return Tensor(entries[name], requires_grad=True)
+
+        values = {}
+        for f in fields(cls):
+            if f.name == "layers":
+                n = 1
+                while f"{cls.PREFIX}/layer{n}" in entries:
+                    n += 1
+                values["layers"] = [leaf(f"{cls.PREFIX}/layer{i}") for i in range(n)]
+            else:
+                values[f.name] = leaf(f"{cls.PREFIX}/{f.name}")
+        return cls(**values)
 
 
 # -- finite-difference oracle -------------------------------------------

@@ -237,11 +237,8 @@ def _cmd_train_gcn(args) -> int:
     attn = _load_attention(args.attn)
     if attn.dim != dataset.d:
         raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
-    scorer = AttentionScorer(attn)
+    attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
     cfg = _sgd_config(args)
-
-    def attn_pair(a, b):
-        return scorer.pair_score(a, b)
 
     if args.mode == "paired":
         samples = build_graph_samples(

@@ -43,12 +43,6 @@ class Dataset:
     def manifest(self) -> DatasetManifest:
         return DatasetManifest(FORMAT_VERSION, self.d)
 
-    def scene_by_id(self, scene_id: str) -> Scene:
-        for s in self.scenes:
-            if s.scene_id == scene_id:
-                return s
-        raise DataError(f"no scene {scene_id!r} in dataset")
-
 
 def _encode_parts(parts: np.ndarray) -> str:
     return np.ascontiguousarray(parts, dtype="<f8").tobytes().hex()
@@ -121,13 +115,14 @@ def load_dataset(path) -> Dataset:
             raise DataError(f"{path}:{line_no}: duplicate scene_id {scene_id!r}")
         seen_scene_ids.add(scene_id)
         instances = []
+        where = f"{path}:{line_no}"
         for irec in rec["instances"]:
             iid = irec["instance_id"]
             if iid in seen_instance_ids:
                 raise DataError(f"{path}:{line_no}: duplicate instance_id {iid!r}")
             seen_instance_ids.add(iid)
             emb = PartEmbedding.from_array(
-                _decode_parts(irec["parts"], manifest.d), context=f" of instance {iid}"
+                _decode_parts(irec["parts"], manifest.d), context=f" of instance {iid} ({where})"
             )
             instances.append(
                 Instance(

@@ -35,8 +35,9 @@ class PartEmbedding:
         if arr.ndim != 2 or arr.shape[0] != R_PARTS:
             raise DataError(f"part embedding{context}: expected shape (4, d), got {arr.shape}")
         norms = np.linalg.norm(arr, axis=1)
-        if np.any(np.abs(norms - 1.0) > NORM_REPAIR_TOL):
-            bad = int(np.argmax(np.abs(norms - 1.0)))
+        bad_norm = ~(np.abs(norms - 1.0) <= NORM_REPAIR_TOL)  # NaN/Inf parts have NaN/Inf norms and fail too
+        if bad_norm.any():
+            bad = int(np.argmax(bad_norm))
             raise DataError(
                 f"part embedding{context}: part '{PART_NAMES[bad]}' has norm "
                 f"{norms[bad]:.6f}, outside repair tolerance"

@@ -50,7 +50,6 @@ class EvalReport:
     per_query_ap: tuple
     num_queries: int
     excluded_queries: int
-    iou_criterion: str = "ground-truth boxes"
 
 
 def average_precision(relevance) -> float:

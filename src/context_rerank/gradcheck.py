@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .attention import VerificationConfig, init_attention_params, pair_descriptor, pair_loss
+from .attention import VerificationConfig, init_attention_params, order_pair, pair_descriptor, pair_loss
 from .autodiff import Tensor, max_rel_error, numeric_gradient, relu_kink_distance
 from .embeddings import PartEmbedding, R_PARTS
 from .graph import ContextGraph, GraphSample, init_gcn_params, normalize_adjacency, sample_loss, star_adjacency
+from .siamese import init_siamese_params, siamese_forward
 
 FD_STEP = 1e-5
 KINK_MARGIN = 1e-3
@@ -61,25 +62,38 @@ def _random_embedding(rng, d) -> PartEmbedding:
 
 
 def gradcheck_matmul(n_trials: int = 100, seed: int = 11) -> float:
+    """A stack of (m, k) matrices times one (k, n) matrix, and the layer
+    x @ w.T + b on (m, k) rows."""
     worst = 0.0
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
-        m, k, n = rng.integers(1, 5, size=3)
-        a = Tensor(rng.uniform(-1, 1, (m, k)), requires_grad=True)
+        s, m, k, n = (int(v) for v in rng.integers(1, 5, size=4))
+        a = Tensor(rng.uniform(-1, 1, (s, m, k)), requires_grad=True)
         b = Tensor(rng.uniform(-1, 1, (k, n)), requires_grad=True)
-        worst = max(worst, check_gradients(lambda: (a @ b).sum(), [a, b]))
+        x = Tensor(rng.uniform(-1, 1, (m, k)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (n, k)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, (n, 1)), requires_grad=True)
+        c1 = Tensor(rng.uniform(-1, 1, (s, m, n)))
+        c2 = Tensor(rng.uniform(-1, 1, (m, n)))
+
+        def build():
+            return ((a @ b) * c1).sum() + (x.linear(w, bias) * c2).sum()
+
+        worst = max(worst, check_gradients(build, [a, b, x, w, bias]))
     return worst
 
 
 def gradcheck_elementwise(n_trials: int = 100, seed: int = 12) -> float:
+    """Add, sub and mul with ``y`` broadcast over the rows of ``x``."""
+
     def make_trial(rng):
-        n = int(rng.integers(1, 6))
-        x = Tensor(rng.uniform(-1, 1, (n,)), requires_grad=True)
+        m, n = (int(v) for v in rng.integers(1, 6, size=2))
+        x = Tensor(rng.uniform(-1, 1, (m, n)), requires_grad=True)
         y = Tensor(rng.uniform(-1, 1, (n,)), requires_grad=True)
         alpha = float(rng.uniform(-2, 2))
 
         def build():
-            return (x.relu() * y + (x - y).scale(alpha)).sum()
+            return (x.relu() * y + (x - y).affine(alpha)).sum()
 
         return build, [x, y]
 
@@ -87,72 +101,104 @@ def gradcheck_elementwise(n_trials: int = 100, seed: int = 12) -> float:
 
 
 def gradcheck_softmax(n_trials: int = 100, seed: int = 13) -> float:
+    """Row softmax of a (B, n) batch."""
     worst = 0.0
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
-        n = int(rng.integers(1, 7))
-        x = Tensor(rng.uniform(-1, 1, (n,)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (n,)))
+        b, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        x = Tensor(rng.uniform(-1, 1, (b, n)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (b, n)))
         worst = max(worst, check_gradients(lambda: (x.softmax() * w).sum(), [x]))
     return worst
 
 
 def gradcheck_cross_entropy(n_trials: int = 100, seed: int = 14) -> float:
+    """Mean cross-entropy of (B, 2) logits."""
     worst = 0.0
     for t in range(n_trials):
         rng = np.random.default_rng((seed, t))
-        x = Tensor(rng.uniform(-1, 1, (2,)), requires_grad=True)
-        label = int(rng.integers(0, 2))
-        worst = max(worst, check_gradients(lambda: x.cross_entropy_binary(label), [x]))
+        b = int(rng.integers(1, 5))
+        x = Tensor(rng.uniform(-1, 1, (b, 2)), requires_grad=True)
+        labels = rng.integers(0, 2, size=b)
+        worst = max(worst, check_gradients(lambda: x.cross_entropy_binary(labels), [x]))
     return worst
 
 
 def gradcheck_attention(n_trials: int = 100, seed: int = 15) -> float:
-    """End-to-end: descriptor -> MLP -> softmax weights -> fused similarity
-    -> verification loss, gradients w.r.t. all head parameters and the input."""
+    """End-to-end on a minibatch of 1-4 pairs with mixed labels: descriptors
+    -> MLP -> softmax weights -> fused similarity -> mean verification loss,
+    gradients w.r.t. all head parameters and the descriptors."""
 
     def make_trial(rng):
         d = int(rng.integers(2, 6))
         hidden = int(rng.integers(3, 9))
         params = init_attention_params(rng, d, hidden)
-        a = _random_embedding(rng, d)
-        b = _random_embedding(rng, d)
-        y = 1 if rng.random() < 0.5 else -1
+        batch = []
+        for _ in range(int(rng.integers(1, 5))):
+            a, b = order_pair(_random_embedding(rng, d), _random_embedding(rng, d))
+            batch.append((a, b, 1 if rng.random() < 0.5 else -1))
         vcfg = VerificationConfig(margin=float(rng.uniform(0.0, 0.5)))
-        x = Tensor(pair_descriptor(a, b), requires_grad=True)
-        leaves = params.tensors() + [x]
+        x = Tensor(np.stack([pair_descriptor(a, b) for a, b, _ in batch]), requires_grad=True)
 
         def build():
-            return pair_loss(params, a, b, y, vcfg, descriptor=x)
+            return pair_loss(params, batch, vcfg, descriptors=x)
 
-        return build, leaves
+        return build, params.tensors() + [x]
 
     return _with_resampling(make_trial, n_trials, seed)
 
 
 def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
-    """Full graph pipeline: propagation, readout, classifier, cross-entropy;
-    gradients w.r.t. all parameters and the node feature matrix."""
+    """Full graph pipeline on a minibatch of 1-4 graphs with mixed labels:
+    propagation, readout, classifier, mean cross-entropy; gradients w.r.t.
+    all parameters and the node features."""
 
     def make_trial(rng):
         k = int(rng.integers(1, 4))
         f = 2 * int(rng.integers(2, 5))
         n = k + 1
         adjacency = star_adjacency(n)
-        graph = ContextGraph(
-            x=rng.uniform(-1, 1, (n, f)),
-            adjacency=adjacency,
-            norm_adjacency=normalize_adjacency(adjacency),
-        )
         params = init_gcn_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
-        sample = GraphSample(graph=graph, label=int(rng.integers(0, 2)))
-        x = Tensor(graph.x, requires_grad=True)
-        leaves = params.tensors() + [x]
+        samples = [
+            GraphSample(
+                graph=ContextGraph(
+                    x=rng.uniform(-1, 1, (n, f)),
+                    adjacency=adjacency,
+                    norm_adjacency=normalize_adjacency(adjacency),
+                ),
+                label=int(rng.integers(0, 2)),
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        x = Tensor(np.stack([s.graph.x for s in samples]), requires_grad=True)
 
         def build():
-            return sample_loss(params, sample, x=x)
+            return sample_loss(params, samples, x=x)
 
-        return build, leaves
+        return build, params.tensors() + [x]
+
+    return _with_resampling(make_trial, n_trials, seed)
+
+
+def gradcheck_siamese(n_trials: int = 100, seed: int = 17) -> float:
+    """Both shared-weight branches, concatenated readouts, classifier and
+    mean cross-entropy on a minibatch of 1-4 pairs with mixed labels;
+    gradients w.r.t. all parameters and both sides' node features."""
+
+    def make_trial(rng):
+        n = int(rng.integers(2, 5))
+        f = int(rng.integers(2, 5))
+        b = int(rng.integers(1, 5))
+        params = init_siamese_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
+        a_hat = normalize_adjacency(star_adjacency(n))
+        xa = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
+        xb = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
+        labels = rng.integers(0, 2, size=b)
+
+        def build():
+            return siamese_forward(params, a_hat, xa, xb).cross_entropy_binary(labels)
+
+        return build, params.tensors() + [xa, xb]
 
     return _with_resampling(make_trial, n_trials, seed)
 
@@ -166,4 +212,5 @@ def run_all(n_trials: int = 100, seed: int = 0) -> dict:
         "cross_entropy": gradcheck_cross_entropy(n_trials, seed + 14),
         "attention_end_to_end": gradcheck_attention(n_trials, seed + 15),
         "gcn_pipeline": gradcheck_gcn(n_trials, seed + 16),
+        "siamese_pipeline": gradcheck_siamese(n_trials, seed + 17),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SgdConfig, Tensor, glorot_uniform, sgd_step
+from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
 from .embeddings import Instance, PartEmbedding, Scene, WHOLE
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .expansion import ExpandedPair, expand
@@ -86,55 +86,14 @@ def build_graph(ep: ExpandedPair, node_feat: str = "whole", norm: str = "sym") -
 
 
 @dataclass
-class GcnParams:
+class GcnParams(ParamSet):
+    PREFIX = "gcn"
+
     layers: list  # L Tensors, each (f, f)
     readout_w: Tensor  # (1024, N*f)
     readout_b: Tensor  # (1024, 1)
     cls_w: Tensor  # (2, 1024)
     cls_b: Tensor  # (2, 1)
-
-    @property
-    def feat_dim(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
-    def n_nodes(self) -> int:
-        return self.readout_w.shape[1] // self.feat_dim
-
-    def tensors(self):
-        return list(self.layers) + [self.readout_w, self.readout_b, self.cls_w, self.cls_b]
-
-    def to_entries(self) -> dict:
-        entries = {f"gcn/layer{i}": w.data for i, w in enumerate(self.layers)}
-        entries.update(
-            {
-                "gcn/readout_w": self.readout_w.data,
-                "gcn/readout_b": self.readout_b.data,
-                "gcn/cls_w": self.cls_w.data,
-                "gcn/cls_b": self.cls_b.data,
-            }
-        )
-        return entries
-
-    @staticmethod
-    def from_entries(entries: dict) -> "GcnParams":
-        layers = []
-        i = 0
-        while f"gcn/layer{i}" in entries:
-            layers.append(Tensor(entries[f"gcn/layer{i}"], requires_grad=True))
-            i += 1
-        if not layers:
-            raise DataError("checkpoint contains no GCN layers")
-        try:
-            return GcnParams(
-                layers=layers,
-                readout_w=Tensor(entries["gcn/readout_w"], requires_grad=True),
-                readout_b=Tensor(entries["gcn/readout_b"], requires_grad=True),
-                cls_w=Tensor(entries["gcn/cls_w"], requires_grad=True),
-                cls_b=Tensor(entries["gcn/cls_b"], requires_grad=True),
-            )
-        except KeyError as e:
-            raise DataError(f"checkpoint is missing GCN parameter {e}") from e
 
 
 def init_gcn_params(
@@ -157,61 +116,65 @@ def init_gcn_params(
     )
 
 
-def gcn_forward(
-    params: GcnParams,
-    graph: ContextGraph,
-    x: Tensor = None,
-    activation: str = "relu",
-):
-    """Propagate, read out, classify. Returns (logits Tensor, match score).
+def graph_readout(params, a_hat: np.ndarray, x: Tensor, activation: str = "relu") -> Tensor:
+    """Propagate a batch of graphs that share ``a_hat`` and read each out.
 
-    ``x`` may be supplied as a requires_grad leaf for gradient checks;
-    ``activation='linear'`` disables the nonlinearity (oracle mode).
+    ``x`` holds (B, N, f) node features and ``params`` the ``layers``,
+    ``readout_w`` and ``readout_b`` of a GCN or of the siamese branch;
+    returns the (B, readout) hidden layer. ``activation='linear'`` disables
+    the propagation nonlinearity (oracle mode).
     """
-    if x is None:
-        x = Tensor(graph.x)
-    n, f = x.shape
-    if f != params.feat_dim:
-        raise ConfigError(f"node feature dim {f} does not match parameters ({params.feat_dim})")
-    if n * f != params.readout_w.shape[1]:
+    if x.data.ndim != 3:
+        raise DimensionError(f"graph batch must be (B, N, f), got shape {x.shape}")
+    b, n, f = x.shape
+    feat_dim = params.layers[0].shape[0]
+    if f != feat_dim:
+        raise ConfigError(f"node feature dim {f} does not match parameters ({feat_dim})")
+    width = params.readout_w.shape[1]
+    if n * f != width:
         raise ConfigError(
-            f"graph has {n} nodes but readout expects {params.n_nodes} "
-            f"(flatten width {params.readout_w.shape[1]})"
+            f"graph has {n} nodes but readout expects {width // f} (flatten width {width})"
         )
-    a_hat = Tensor(graph.norm_adjacency)
+    if activation not in ("relu", "linear"):
+        raise ConfigError(f"activation must be 'relu' or 'linear', got {activation!r}")
     z = x
     for w in params.layers:
-        z = a_hat @ z @ w
+        z = z.left_mul(a_hat) @ w
         if activation == "relu":
             z = z.relu()
-        elif activation != "linear":
-            raise ConfigError(f"activation must be 'relu' or 'linear', got {activation!r}")
-    flat = z.reshape(n * f, 1)
-    h = (params.readout_w @ flat + params.readout_b).relu()
-    logits = params.cls_w @ h + params.cls_b
-    probs = logits.softmax()
-    return logits, float(probs.data.reshape(-1)[1])
+    return z.reshape(b, n * f).linear(params.readout_w, params.readout_b).relu()
+
+
+def gcn_logits(params: GcnParams, a_hat: np.ndarray, x: Tensor, activation: str = "relu") -> Tensor:
+    """The GCN on a batch of graphs sharing ``a_hat``: (B, N, f) node
+    features -> (B, 2) class logits."""
+    return graph_readout(params, a_hat, x, activation).linear(params.cls_w, params.cls_b)
+
+
+def gcn_forward(params: GcnParams, graph: ContextGraph, activation: str = "relu"):
+    """One graph through ``gcn_logits``; returns its (1, 2) logits and its match score."""
+    logits = gcn_logits(params, graph.norm_adjacency, Tensor(graph.x[None]), activation)
+    return logits, float(logits.softmax().data[0, 1])
 
 
 def gcn_score_batch(params: GcnParams, a_hat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Vectorized match scores for a batch of graphs sharing one adjacency.
+    """Match scores for a batch of graphs sharing one adjacency.
 
     ``xs`` has shape (B, N, f); returns (B,) positive-class probabilities.
     """
-    z = xs
-    for w in params.layers:
-        z = np.maximum(np.einsum("ij,bjf->bif", a_hat, z) @ w.data, 0.0)
-    flat = z.reshape(z.shape[0], -1)
-    h = np.maximum(flat @ params.readout_w.data.T + params.readout_b.data.reshape(-1), 0.0)
-    logits = h @ params.cls_w.data.T + params.cls_b.data.reshape(-1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=1, keepdims=True))[:, 1]
+    return gcn_logits(params, a_hat, Tensor(xs)).softmax().data[:, 1]
 
 
-def sample_loss(params: GcnParams, sample: GraphSample, x: Tensor = None) -> Tensor:
-    logits, _ = gcn_forward(params, sample.graph, x=x)
-    return logits.cross_entropy_binary(sample.label)
+def sample_loss(params: GcnParams, samples, x: Tensor = None) -> Tensor:
+    """Mean cross-entropy of a minibatch of graph samples sharing one adjacency.
+
+    ``x`` may replace the stacked (B, N, f) node features, e.g. with a
+    requires_grad leaf for gradient checks.
+    """
+    if x is None:
+        x = Tensor(np.stack([s.graph.x for s in samples]))
+    logits = gcn_logits(params, samples[0].graph.norm_adjacency, x)
+    return logits.cross_entropy_binary([s.label for s in samples])
 
 
 def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
@@ -224,27 +187,14 @@ def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     shapes = {s.graph.x.shape for s in samples}
     if len(shapes) != 1:
         raise DataError(f"all graph samples must share K; found node shapes {sorted(shapes)}")
+    a_hat = samples[0].graph.norm_adjacency
+    if any(not np.array_equal(s.graph.norm_adjacency, a_hat) for s in samples):
+        raise DataError("all graph samples must share one normalized adjacency")
     n, f = samples[0].graph.x.shape
     rng = np.random.default_rng(cfg.seed)
     params = init_gcn_params(rng, n, f)
-
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr_at_epoch(epoch)
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            loss = sample_loss(params, batch[0])
-            for s in batch[1:]:
-                loss = loss + sample_loss(params, s)
-            loss = loss.scale(1.0 / len(batch))
-            loss.backward()
-            sgd_step(params.tensors(), lr)
-            total += loss.item() * len(batch)
-        mean_loss = total / len(order)
-        if epoch_losses is not None:
-            epoch_losses.append(mean_loss)
-        log.info("gcn epoch %d/%d lr=%.4g mean_loss=%.6f", epoch, cfg.epochs, lr, mean_loss)
+    fit(params.tensors(), cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, batch),
+        "gcn epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
     return params
 
 

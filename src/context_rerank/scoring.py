@@ -16,7 +16,7 @@ from .attention import AttentionParams, attention_weights_batch, order_pair, pai
 from .embeddings import Instance, Scene, cosine_matrix, uniform_weights
 from .errors import UsageError
 from .expansion import expand
-from .graph import GcnParams, build_graph, gcn_score_batch
+from .graph import GcnParams, build_graph, gcn_score_batch, normalize_adjacency, star_adjacency
 from .siamese import SiameseParams, side_matrices, siamese_score_batch
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
@@ -62,7 +62,7 @@ class AttentionScorer:
         for a in probe_insts:
             for b in gallery_insts:
                 ea, eb = order_pair(a.embedding, b.embedding)
-                descs.append(pair_descriptor(ea, eb).reshape(-1))
+                descs.append(pair_descriptor(ea, eb))
         weights = attention_weights_batch(self.params, np.stack(descs))
         weights = weights.reshape(len(probe_insts), len(gallery_insts), -1)
         return np.einsum("ijr,ijr->ij", cos, weights)
@@ -72,6 +72,27 @@ class AttentionScorer:
         if not insts:
             return []
         return list(zip(insts, self.pair_matrix([probe], insts)[0]))
+
+    def scene_scorer(self, scenes):
+        """A pair scorer for ``expand`` over the persons of ``scenes``. The
+        first lookup in a scene pair scores every cross pair of the two
+        scenes in one ``pair_matrix`` call; later lookups reuse it."""
+        scene_of = {s.scene_id: s for s in scenes}
+        tables = {}
+
+        def score(a, b):
+            key = (a.scene_id, b.scene_id)
+            if key not in tables:
+                rows, cols = scene_of[a.scene_id].instances, scene_of[b.scene_id].instances
+                tables[key] = (
+                    {i.instance_id: r for r, i in enumerate(rows)},
+                    {i.instance_id: c for c, i in enumerate(cols)},
+                    self.pair_matrix(list(rows), list(cols)),
+                )
+            row, col, sim = tables[key]
+            return sim[row[a.instance_id], col[b.instance_id]]
+
+        return score
 
 
 class _ContextScorerBase:
@@ -89,20 +110,11 @@ class _ContextScorerBase:
         """One ExpandedPair per gallery instance, reusing a single pairwise
         attention-similarity matrix for the scene pair."""
         insts = list(gallery_scene.instances)
-        if not insts:
-            return [], []
-        probe_insts = list(probe_scene.instances)
-        sim = self.attn.pair_matrix(probe_insts, insts)
-        row = {i.instance_id: r for r, i in enumerate(probe_insts)}
-        col = {i.instance_id: c for c, i in enumerate(insts)}
-
-        def scorer(a, b):
-            return sim[row[a.instance_id], col[b.instance_id]]
-
-        expansions = []
-        for target in insts:
-            ep = expand(probe_scene, probe, gallery_scene, target, scorer, k=self.k, seed=self.seed)
-            expansions.append(ep)
+        scorer = self.attn.scene_scorer((probe_scene, gallery_scene))
+        expansions = [
+            expand(probe_scene, probe, gallery_scene, target, scorer, k=self.k, seed=self.seed)
+            for target in insts
+        ]
         return insts, expansions
 
     def _fallback(self, probe, target) -> float:
@@ -152,8 +164,6 @@ class SiameseScorer(_ContextScorerBase):
         self.siamese = siamese_params
 
     def score_scene(self, probe_scene, probe, gallery_scene):
-        from .graph import normalize_adjacency, star_adjacency
-
         insts, expansions = self._expansions(probe_scene, probe, gallery_scene)
         scores = np.zeros(len(insts))
         batch_a, batch_b, batch_idx = [], [], []

@@ -7,18 +7,15 @@ binary classifier. Kept as a baseline against the paired-node graph.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import SgdConfig, Tensor, glorot_uniform, sgd_step
+from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
 from .embeddings import Instance, PartEmbedding, Scene, WHOLE
 from .errors import ConfigError, DataError
 from .expansion import expand
-from .graph import READOUT_DIM, DEFAULT_LAYERS, normalize_adjacency, star_adjacency
-
-log = logging.getLogger(__name__)
+from .graph import READOUT_DIM, DEFAULT_LAYERS, graph_readout, normalize_adjacency, star_adjacency
 
 
 def _side_features(emb: PartEmbedding, node_feat: str) -> np.ndarray:
@@ -37,53 +34,16 @@ class SiameseSample:
 
 
 @dataclass
-class SiameseParams:
+class SiameseParams(ParamSet):
     """Branch weights are shared; only the classifier sees both sides."""
+
+    PREFIX = "siamese"
 
     layers: list  # shared, (f, f) each
     readout_w: Tensor  # shared, (1024, N*f)
     readout_b: Tensor
     cls_w: Tensor  # (2, 2048)
     cls_b: Tensor
-
-    @property
-    def feat_dim(self) -> int:
-        return self.layers[0].shape[0]
-
-    def tensors(self):
-        return list(self.layers) + [self.readout_w, self.readout_b, self.cls_w, self.cls_b]
-
-    def to_entries(self) -> dict:
-        entries = {f"siamese/layer{i}": w.data for i, w in enumerate(self.layers)}
-        entries.update(
-            {
-                "siamese/readout_w": self.readout_w.data,
-                "siamese/readout_b": self.readout_b.data,
-                "siamese/cls_w": self.cls_w.data,
-                "siamese/cls_b": self.cls_b.data,
-            }
-        )
-        return entries
-
-    @staticmethod
-    def from_entries(entries: dict) -> "SiameseParams":
-        layers = []
-        i = 0
-        while f"siamese/layer{i}" in entries:
-            layers.append(Tensor(entries[f"siamese/layer{i}"], requires_grad=True))
-            i += 1
-        if not layers:
-            raise DataError("checkpoint contains no Siamese GCN layers")
-        try:
-            return SiameseParams(
-                layers=layers,
-                readout_w=Tensor(entries["siamese/readout_w"], requires_grad=True),
-                readout_b=Tensor(entries["siamese/readout_b"], requires_grad=True),
-                cls_w=Tensor(entries["siamese/cls_w"], requires_grad=True),
-                cls_b=Tensor(entries["siamese/cls_b"], requires_grad=True),
-            )
-        except KeyError as e:
-            raise DataError(f"checkpoint is missing Siamese parameter {e}") from e
 
 
 def init_siamese_params(
@@ -105,39 +65,16 @@ def init_siamese_params(
     )
 
 
-def branch_readout(params: SiameseParams, x: Tensor, a_hat: Tensor) -> Tensor:
-    z = x
-    for w in params.layers:
-        z = (a_hat @ z @ w).relu()
-    n, f = z.shape
-    return (params.readout_w @ z.reshape(n * f, 1) + params.readout_b).relu()
-
-
-def siamese_forward(params: SiameseParams, xa, xb, norm: str = "sym"):
-    xa = xa if isinstance(xa, Tensor) else Tensor(np.asarray(xa))
-    xb = xb if isinstance(xb, Tensor) else Tensor(np.asarray(xb))
-    a_hat = Tensor(normalize_adjacency(star_adjacency(xa.shape[0]), norm))
-    ha = branch_readout(params, xa, a_hat)
-    hb = branch_readout(params, xb, a_hat)
-    logits = params.cls_w @ ha.concat(hb) + params.cls_b
-    probs = logits.softmax()
-    return logits, float(probs.data.reshape(-1)[1])
+def siamese_forward(params: SiameseParams, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
+    """Both sides of a batch of pairs, each (B, N, f), through the shared
+    branch; returns the (B, 2) class logits."""
+    h = graph_readout(params, a_hat, xa).concat(graph_readout(params, a_hat, xb))
+    return h.linear(params.cls_w, params.cls_b)
 
 
 def siamese_score_batch(params: SiameseParams, a_hat: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Vectorized match scores for (B, N, f) side batches sharing one adjacency."""
-
-    def branch(z):
-        for w in params.layers:
-            z = np.maximum(np.einsum("ij,bjf->bif", a_hat, z) @ w.data, 0.0)
-        flat = z.reshape(z.shape[0], -1)
-        return np.maximum(flat @ params.readout_w.data.T + params.readout_b.data.reshape(-1), 0.0)
-
-    h = np.concatenate([branch(xa), branch(xb)], axis=1)
-    logits = h @ params.cls_w.data.T + params.cls_b.data.reshape(-1)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return (e / e.sum(axis=1, keepdims=True))[:, 1]
+    """Match scores for (B, N, f) side batches sharing one adjacency."""
+    return siamese_forward(params, a_hat, Tensor(xa), Tensor(xb)).softmax().data[:, 1]
 
 
 def train_siamese(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list = None) -> SiameseParams:
@@ -145,28 +82,21 @@ def train_siamese(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list
         raise DataError("no siamese samples to train on")
     if {s.label for s in samples} != {0, 1}:
         raise DataError("siamese training needs both labels")
+    shapes = {x.shape for s in samples for x in (s.xa, s.xb)}
+    if len(shapes) != 1:
+        raise DataError(f"all siamese samples must share K; found node shapes {sorted(shapes)}")
     n, f = samples[0].xa.shape
+    a_hat = normalize_adjacency(star_adjacency(n), norm)
     rng = np.random.default_rng(cfg.seed)
     params = init_siamese_params(rng, n, f)
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr_at_epoch(epoch)
-        order = rng.permutation(len(samples))
-        total = 0.0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [samples[i] for i in order[start : start + cfg.batch_size]]
-            logits, _ = siamese_forward(params, batch[0].xa, batch[0].xb, norm)
-            loss = logits.cross_entropy_binary(batch[0].label)
-            for s in batch[1:]:
-                logits, _ = siamese_forward(params, s.xa, s.xb, norm)
-                loss = loss + logits.cross_entropy_binary(s.label)
-            loss = loss.scale(1.0 / len(batch))
-            loss.backward()
-            sgd_step(params.tensors(), lr)
-            total += loss.item() * len(batch)
-        mean_loss = total / len(order)
-        if epoch_losses is not None:
-            epoch_losses.append(mean_loss)
-        log.info("siamese epoch %d/%d lr=%.4g mean_loss=%.6f", epoch, cfg.epochs, lr, mean_loss)
+
+    def batch_loss(batch):
+        xa = Tensor(np.stack([s.xa for s in batch]))
+        xb = Tensor(np.stack([s.xb for s in batch]))
+        return siamese_forward(params, a_hat, xa, xb).cross_entropy_binary([s.label for s in batch])
+
+    fit(params.tensors(), cfg, rng, lambda rng: samples, batch_loss,
+        "siamese epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
     return params
 
 
@@ -197,8 +127,8 @@ def siamese_graph_score(
     if ep.degenerate:
         return (attn_scorer(probe, gallery) + 1.0) / 2.0
     xa, xb = side_matrices(ep, node_feat)
-    _, score = siamese_forward(params, xa, xb, norm)
-    return score
+    a_hat = normalize_adjacency(star_adjacency(xa.shape[0]), norm)
+    return float(siamese_score_batch(params, a_hat, xa[None], xb[None])[0])
 
 
 def samples_from_expansions(expansions, node_feat: str = "whole"):

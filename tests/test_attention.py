@@ -4,8 +4,8 @@ import pytest
 from context_rerank.attention import (
     AttentionParams,
     VerificationConfig,
+    attention_forward,
     attention_similarity,
-    attention_weights,
     attention_weights_batch,
     build_training_pairs,
     init_attention_params,
@@ -14,7 +14,6 @@ from context_rerank.attention import (
     pair_loss,
     train_attention,
     verification_loss,
-    weights_from_descriptor,
 )
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
 from context_rerank.embeddings import Instance, PartEmbedding, Scene, part_cosines
@@ -32,12 +31,25 @@ def make_params(seed=0, d=8, hidden=6):
     return init_attention_params(np.random.default_rng(seed), d, hidden)
 
 
+def attention_weights(params, a, b):
+    """Weights of one pair, through the batched inference path."""
+    return attention_weights_batch(params, pair_descriptor(*order_pair(a, b))[None])[0]
+
+
+def reference_weights(params, a, b):
+    """The head written out for one pair as column-vector NumPy."""
+    x = pair_descriptor(*order_pair(a, b)).reshape(-1, 1)
+    h = np.maximum(params.w1.data @ x + params.b1.data, 0.0)
+    logits = (params.w2.data @ h + params.b2.data).reshape(-1)
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
 class TestDescriptor:
     def test_layout_interleaves_parts(self):
         a, b = make_embedding(1, d=3), make_embedding(2, d=3)
-        x = pair_descriptor(a, b)
-        assert x.shape == (2 * 4 * 3, 1)
-        flat = x.reshape(-1)
+        flat = pair_descriptor(a, b)
+        assert flat.shape == (2 * 4 * 3,)
         assert np.array_equal(flat[0:3], a.parts[0])
         assert np.array_equal(flat[3:6], b.parts[0])
         assert np.array_equal(flat[18:21], a.parts[3])
@@ -50,7 +62,7 @@ class TestDescriptor:
     def test_dimension_mismatch_rejected(self):
         params = make_params(d=8)
         with pytest.raises(DimensionError):
-            weights_from_descriptor(params, Tensor(np.zeros((10, 1))))
+            attention_forward(params, Tensor(np.zeros((1, 10))))
 
 
 class TestWeights:
@@ -70,10 +82,10 @@ class TestWeights:
     def test_batch_matches_single(self):
         params = make_params(11)
         embs = [(make_embedding(20 + i), make_embedding(40 + i)) for i in range(5)]
-        descs = np.stack([pair_descriptor(*order_pair(a, b)).reshape(-1) for a, b in embs])
+        descs = np.stack([pair_descriptor(*order_pair(a, b)) for a, b in embs])
         batch = attention_weights_batch(params, descs)
         for row, (a, b) in zip(batch, embs):
-            assert np.allclose(row, attention_weights(params, a, b), atol=1e-12)
+            assert np.allclose(row, reference_weights(params, a, b), atol=1e-12)
 
     def test_similarity_is_weighted_cosine(self):
         params = make_params(12)
@@ -112,8 +124,26 @@ class TestVerificationLoss:
         a, b = make_embedding(16), make_embedding(17)
         s = attention_similarity(params, a, b)
         for y in (1, -1):
-            loss = pair_loss(params, a, b, y, cfg)
+            loss = pair_loss(params, [(a, b, y)], cfg)
             assert loss.item() == pytest.approx(verification_loss(s, y, cfg), abs=1e-12)
+
+    def test_batch_loss_is_mean_of_pair_losses_with_mean_gradient(self):
+        params = make_params(19)
+        cfg = VerificationConfig(margin=0.3)
+        batch = [(make_embedding(60 + i), make_embedding(80 + i), 1 if i % 2 else -1) for i in range(5)]
+        singles, grads = [], []
+        for pair in batch:
+            loss = pair_loss(params, [pair], cfg)
+            loss.backward()
+            singles.append(loss.item())
+            grads.append([t.grad.copy() for t in params.tensors()])
+            for t in params.tensors():
+                t.grad = None
+        loss = pair_loss(params, batch, cfg)
+        loss.backward()
+        assert loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
+        for i, t in enumerate(params.tensors()):
+            assert np.allclose(t.grad, np.mean([g[i] for g in grads], axis=0), atol=1e-12)
 
 
 def make_corpus(n_scenes=6, per_scene=3, n_ids=6, d=8, seed=0):

@@ -54,9 +54,97 @@ def test_elementwise_gradients_match_finite_differences():
     yv = rng.uniform(0.1, 1, 5)
     x = Tensor(xv, requires_grad=True)
     y = Tensor(yv, requires_grad=True)
-    ((x + y) * x - y.scale(0.5)).sum().backward()
+    ((x + y) * x - y.affine(0.5)).sum().backward()
     num_x = numeric_gradient(lambda v: float(((v + yv) * v - 0.5 * yv).sum()), xv.copy())
     assert max_rel_error(x.grad, num_x) < 1e-6
+
+
+def test_broadcast_gradients_sum_back_to_operand_shapes():
+    rng = np.random.default_rng(4)
+    xv, yv = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 4)
+    x = Tensor(xv, requires_grad=True)
+    y = Tensor(yv, requires_grad=True)
+    (x * y - y + x).sum().backward()
+    assert x.grad.shape == (3, 4) and y.grad.shape == (4,)
+    assert np.allclose(x.grad, yv + 1.0)
+    assert np.allclose(y.grad, xv.sum(axis=0) - 3.0)
+    with pytest.raises(DimensionError):
+        Tensor(np.zeros((3, 4))) + Tensor(np.zeros(3))
+
+
+def test_stacked_matmul_matches_per_matrix_products():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.uniform(-1, 1, (5, 3, 4)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+    out = a @ w
+    for i in range(5):
+        assert np.array_equal(out.data[i], a.data[i] @ w.data)
+    out.sum().backward()
+    assert np.allclose(w.grad, sum(a.data[i].T @ np.ones((3, 2)) for i in range(5)))
+    assert np.allclose(a.grad, np.broadcast_to(np.ones((3, 2)) @ w.data.T, (5, 3, 4)))
+    with pytest.raises(DimensionError):
+        a @ Tensor(np.zeros((5, 4, 2)))
+
+
+def test_linear_is_x_wt_plus_b_with_gradients():
+    rng = np.random.default_rng(7)
+    xv, wv, bv = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (2, 1))
+    x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+    out = x.linear(w, b)
+    assert np.array_equal(out.data, xv @ wv.T + bv.reshape(-1))
+    out.sum().backward()
+    assert np.allclose(x.grad, np.ones((3, 2)) @ wv)
+    assert np.allclose(w.grad, np.ones((2, 3)) @ xv)
+    assert np.array_equal(b.grad, [[3.0], [3.0]])
+    with pytest.raises(DimensionError):
+        x.linear(Tensor(np.zeros((2, 3))), b)
+    with pytest.raises(DimensionError):
+        x.linear(w, Tensor(np.zeros(3)))
+
+
+def test_left_mul_is_per_matrix_product_with_transposed_adjoint():
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1, 1, (3, 3))
+    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
+    out = x.left_mul(a)
+    assert np.allclose(out.data, np.stack([a @ m for m in x.data]), atol=1e-15)
+    pick = rng.uniform(-1, 1, (2, 3, 4))
+    (out * Tensor(pick)).sum().backward()
+    assert np.allclose(x.grad, np.stack([a.T @ p for p in pick]))
+    with pytest.raises(DimensionError):
+        x.left_mul(np.eye(4))
+
+
+def test_row_softmax_sum_and_concat_on_batches():
+    rows = Tensor([[0.0, np.log(3.0)], [5.0, 5.0]])
+    assert np.allclose(rows.softmax().data, [[0.25, 0.75], [0.5, 0.5]])
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = Tensor(np.ones((2, 1)), requires_grad=True)
+    both = x.concat(y)
+    assert both.shape == (2, 4)
+    (both.sum(axis=-1) * Tensor([1.0, 2.0])).sum().backward()
+    assert np.array_equal(x.grad, [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    assert np.array_equal(y.grad, [[1.0], [2.0]])
+
+
+def test_cross_entropy_batch_is_mean_of_rows():
+    rng = np.random.default_rng(10)
+    xv = rng.uniform(-2, 2, (4, 2))
+    labels = [0, 1, 1, 0]
+    x = Tensor(xv, requires_grad=True)
+    loss = x.cross_entropy_binary(labels)
+    rows = [Tensor(xv[i]).cross_entropy_binary(labels[i]).item() for i in range(4)]
+    assert loss.item() == pytest.approx(np.mean(rows), abs=1e-15)
+    loss.backward()
+
+    def f(v):
+        m = v.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
+        return float(np.mean(lse - v[np.arange(4), labels]))
+
+    assert max_rel_error(x.grad, numeric_gradient(f, xv.copy())) < 1e-6
+    with pytest.raises(DimensionError):
+        x.cross_entropy_binary([0, 1])
 
 
 def test_softmax_uniform_for_equal_inputs():
@@ -192,4 +280,64 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(DataError):
+        load_checkpoint(path)
+
+
+def _two_entry_checkpoint(tmp_path):
+    path = tmp_path / "two.ckpt"
+    save_checkpoint(path, {"m/w": np.arange(6.0).reshape(2, 3), "m/b": np.array([0.5, -0.5])})
+    return path, path.read_bytes()
+
+
+def _field_boundaries(blob):
+    """Byte offsets where each field of the checkpoint layout starts or ends."""
+    import struct
+
+    cuts = [8, 12, 16]
+    off = 16
+    while off < len(blob):
+        (name_len,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        cuts.append(off)
+        off += name_len
+        cuts.append(off)
+        (ndim,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        cuts.append(off)
+        shape = struct.unpack_from(f"<{ndim}I", blob, off)
+        off += 4 * ndim
+        cuts.append(off)
+        off += 8 * int(np.prod(shape))
+        cuts.append(off)
+    return cuts
+
+
+def test_checkpoint_cut_at_every_field_boundary_is_data_error(tmp_path):
+    from context_rerank.errors import DataError
+
+    path, blob = _two_entry_checkpoint(tmp_path)
+    cuts = _field_boundaries(blob)
+    assert cuts[-1] == len(blob)
+    for cut in sorted(set(cuts[:-1]) | {0, 3, 20, len(blob) - 8, len(blob) - 1}):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError, match=str(path)):
+            load_checkpoint(path)
+
+
+def test_checkpoint_with_trailing_bytes_is_data_error(tmp_path):
+    from context_rerank.errors import DataError
+
+    path, blob = _two_entry_checkpoint(tmp_path)
+    for junk in (b"\x00", b"junk bytes", blob[8:]):
+        path.write_bytes(blob + junk)
+        with pytest.raises(DataError, match="trailing"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_with_bad_entry_name_is_data_error(tmp_path):
+    from context_rerank.errors import DataError
+
+    path, blob = _two_entry_checkpoint(tmp_path)
+    path.write_bytes(blob[:20] + b"\xff" + blob[21:])
+    with pytest.raises(DataError, match="utf-8"):
         load_checkpoint(path)

@@ -111,6 +111,36 @@ class TestEvalAndRerank:
                     "--gallery-size", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--context-k", "3"], ["--context-k", "2", "--node-feat", "allparts"]])
+    def test_graph_checkpoint_mismatch_exits_2(self, workspace, flags, caplog):
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph",
+                    "--attn", str(workspace["attn"]), "--gcn", str(workspace["gcn"]),
+                    "--gallery-size", "5", "--max-queries", "4"] + flags)
+        assert code == 2
+        assert "does not match parameters" in caplog.text or "readout expects" in caplog.text
+
+    def test_siamese_checkpoint_mismatch_exits_2(self, workspace, tmp_path, caplog):
+        siam = tmp_path / "siam.ckpt"
+        assert run(["train-gcn", "--data", str(workspace["data"]), "--attn", str(workspace["attn"]),
+                    "--out", str(siam), "--mode", "siamese", "--context-k", "2",
+                    "--epochs", "1", "--batch-size", "16", "--seed", "5"]) == 0
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", "siamese",
+                    "--attn", str(workspace["attn"]), "--gcn", str(siam), "--context-k", "3",
+                    "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 2
+        assert "readout expects 3" in caplog.text
+
+    @pytest.mark.parametrize("damage", ["cut20", "cut_last8", "append"])
+    def test_damaged_checkpoint_exits_3_naming_file(self, workspace, tmp_path, damage, caplog):
+        blob = workspace["gcn"].read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes({"cut20": blob[:20], "cut_last8": blob[:-8], "append": blob + b"junk"}[damage])
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph",
+                    "--attn", str(workspace["attn"]), "--gcn", str(bad), "--context-k", "2",
+                    "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 3
+        assert str(bad) in caplog.text
+
     def test_rerank_ranked_csv(self, workspace, tmp_path, capsys):
         # find a probe id from the dataset file
         import json
@@ -152,7 +182,7 @@ class TestGradcheckCommand:
         code = run(["gradcheck", "--trials", "3", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        for component in ("matmul", "softmax", "attention_end_to_end", "gcn_pipeline"):
+        for component in ("matmul", "softmax", "attention_end_to_end", "gcn_pipeline", "siamese_pipeline"):
             assert component in out
         assert "[pass]" in out
         assert "FAIL" not in out

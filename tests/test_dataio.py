@@ -95,6 +95,21 @@ class TestRoundTrip:
         with pytest.raises(DataError, match=iid):
             load_dataset(path)
 
+    def test_non_finite_part_names_file_and_instance(self, tmp_path):
+        ds = generate_synthetic(SynthConfig(**SMALL))
+        path = tmp_path / "nan.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[1])
+        iid = rec["instances"][0]["instance_id"]
+        parts = np.frombuffer(bytes.fromhex(rec["instances"][0]["parts"]), dtype="<f8").copy()
+        parts[5] = np.nan
+        rec["instances"][0]["parts"] = parts.tobytes().hex()
+        lines[1] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"{iid} .*nan.jsonl:2.*norm nan"):
+            load_dataset(path)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         ds = generate_synthetic(SynthConfig(**SMALL))
         path = tmp_path / "dup.jsonl"

@@ -35,6 +35,14 @@ def test_from_array_rejects_bad_norm():
         PartEmbedding.from_array(parts)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_array_rejects_non_finite_parts(bad):
+    parts = unit_parts(np.random.default_rng(1))
+    parts[2, 3] = bad
+    with pytest.raises(DataError, match="'middle' has norm (nan|inf)"):
+        PartEmbedding.from_array(parts)
+
+
 def test_part_cosine_identical_antipodal_orthogonal():
     e = make_embedding(2)
     assert part_cosine(e, e, 0) == pytest.approx(1.0, abs=1e-12)

@@ -9,6 +9,7 @@ from context_rerank.gradcheck import (
     gradcheck_elementwise,
     gradcheck_gcn,
     gradcheck_matmul,
+    gradcheck_siamese,
     gradcheck_softmax,
     run_all,
 )
@@ -74,6 +75,9 @@ class TestSuites:
     def test_gcn_pipeline(self):
         assert gradcheck_gcn(TRIALS) < 1e-4
 
+    def test_siamese_pipeline(self):
+        assert gradcheck_siamese(TRIALS) < 1e-4
+
     def test_run_all_covers_every_component(self):
         results = run_all(n_trials=3, seed=1)
         assert set(results) == {
@@ -83,6 +87,7 @@ class TestSuites:
             "cross_entropy",
             "attention_end_to_end",
             "gcn_pipeline",
+            "siamese_pipeline",
         }
         assert all(err < 1e-4 for err in results.values())
 

@@ -146,7 +146,7 @@ class TestGcnForward:
             flat = expected.reshape(-1, 1)
             h = np.maximum(params.readout_w.data @ flat + params.readout_b.data, 0.0)
             logits = params.cls_w.data @ h + params.cls_b.data
-            assert np.allclose(got_logits.data, logits, atol=1e-12)
+            assert np.allclose(got_logits.data.reshape(-1), logits.reshape(-1), atol=1e-12)
             e = np.exp(logits - logits.max())
             assert got_score == pytest.approx(float((e / e.sum())[1, 0]), abs=1e-12)
 
@@ -173,6 +173,25 @@ class TestGcnForward:
         singles = [gcn_forward(params, g)[1] for g in graphs]
         batched = gcn_score_batch(params, graphs[0].norm_adjacency, np.stack([g.x for g in graphs]))
         assert np.allclose(batched, singles, atol=1e-12)
+
+    def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self):
+        rng = np.random.default_rng(7)
+        n, f = 4, 6
+        params = init_gcn_params(rng, n, f, readout_dim=9)
+        samples = [GraphSample(random_graph(rng, n, f), i % 2) for i in range(5)]
+        singles, grads = [], []
+        for s in samples:
+            loss = sample_loss(params, [s])
+            loss.backward()
+            singles.append(loss.item())
+            grads.append([t.grad.copy() for t in params.tensors()])
+            for t in params.tensors():
+                t.grad = None
+        loss = sample_loss(params, samples)
+        loss.backward()
+        assert loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
+        for i, t in enumerate(params.tensors()):
+            assert np.allclose(t.grad, np.mean([g[i] for g in grads], axis=0), atol=1e-12)
 
 
 class TestTraining:
@@ -223,6 +242,12 @@ class TestTraining:
     def test_rejects_empty(self):
         with pytest.raises(DataError):
             train_gcn([], SgdConfig(epochs=1))
+
+    def test_rejects_mixed_normalization(self):
+        rng = np.random.default_rng(15)
+        samples = [GraphSample(random_graph(rng, 3, 4, "sym"), 1), GraphSample(random_graph(rng, 3, 4, "row"), 0)]
+        with pytest.raises(DataError, match="adjacency"):
+            train_gcn(samples, SgdConfig(epochs=1))
 
 
 class TestGraphScore:

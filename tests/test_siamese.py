@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from context_rerank.autodiff import SgdConfig, load_checkpoint, save_checkpoint
+from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
-from context_rerank.errors import DataError
+from context_rerank.errors import ConfigError, DataError
 from context_rerank.expansion import expand
 from context_rerank.graph import normalize_adjacency, star_adjacency
 from context_rerank.siamese import (
@@ -34,21 +34,35 @@ def random_sides(rng, n, f):
     return rng.standard_normal((n, f)), rng.standard_normal((n, f))
 
 
+def reference_logits(params, xa, xb):
+    """The siamese forward written out for one pair as column-vector NumPy."""
+
+    def branch(x):
+        return np.maximum(params.readout_w.data @ _propagate(params, x).reshape(-1, 1) + params.readout_b.data, 0.0)
+
+    return (params.cls_w.data @ np.concatenate([branch(xa), branch(xb)]) + params.cls_b.data).reshape(-1)
+
+
+def forward(params, sides):
+    """Logits of a list of (xa, xb) pairs through one batched forward."""
+    a_hat = normalize_adjacency(star_adjacency(sides[0][0].shape[0]))
+    xa = Tensor(np.stack([s[0] for s in sides]))
+    xb = Tensor(np.stack([s[1] for s in sides]))
+    return siamese_forward(params, a_hat, xa, xb).data
+
+
 class TestForward:
     def test_swapping_sides_swaps_branches_exactly(self):
         # shared weights: the branch readouts are the same function of each side
         rng = np.random.default_rng(0)
         params = init_siamese_params(rng, 4, 6, readout_dim=5)
         xa, xb = random_sides(rng, 4, 6)
-        logits_ab, _ = siamese_forward(params, xa, xb)
-        logits_ba, _ = siamese_forward(params, xb, xa)
+        logits_ab, logits_ba = forward(params, [(xa, xb), (xb, xa)])
         half = params.cls_w.shape[1] // 2
         w_swapped = np.concatenate(
             [params.cls_w.data[:, half:], params.cls_w.data[:, :half]], axis=1
         )
         # applying the swapped classifier to (a,b) equals the original on (b,a)
-        from context_rerank.autodiff import Tensor
-
         ha = np.maximum(
             params.readout_w.data
             @ _propagate(params, xa).reshape(-1, 1)
@@ -62,16 +76,18 @@ class TestForward:
             0.0,
         )
         manual_ba = w_swapped @ np.concatenate([ha, hb]) + params.cls_b.data
-        assert np.allclose(logits_ba.data, manual_ba, atol=1e-12)
-        assert not np.allclose(logits_ab.data, logits_ba.data)
+        assert np.allclose(logits_ba, manual_ba.reshape(-1), atol=1e-12)
+        assert not np.allclose(logits_ab, logits_ba)
 
     def test_score_in_unit_interval(self):
         rng = np.random.default_rng(1)
         params = init_siamese_params(rng, 3, 5, readout_dim=4)
-        for _ in range(10):
-            xa, xb = random_sides(rng, 3, 5)
-            _, score = siamese_forward(params, xa, xb)
-            assert 0.0 < score < 1.0
+        a_hat = normalize_adjacency(star_adjacency(3))
+        sides = [random_sides(rng, 3, 5) for _ in range(10)]
+        scores = siamese_score_batch(
+            params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
+        )
+        assert np.all((scores > 0.0) & (scores < 1.0))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
@@ -79,11 +95,23 @@ class TestForward:
         params = init_siamese_params(rng, n, f, readout_dim=6)
         a_hat = normalize_adjacency(star_adjacency(n))
         sides = [random_sides(rng, n, f) for _ in range(5)]
-        singles = [siamese_forward(params, xa, xb)[1] for xa, xb in sides]
+        singles = []
+        for xa, xb in sides:
+            logits = reference_logits(params, xa, xb)
+            e = np.exp(logits - logits.max())
+            singles.append((e / e.sum())[1])
         batched = siamese_score_batch(
             params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
         )
         assert np.allclose(batched, singles, atol=1e-12)
+
+    def test_mismatched_node_count_is_config_error(self):
+        rng = np.random.default_rng(7)
+        params = init_siamese_params(rng, 3, 5, readout_dim=4)
+        with pytest.raises(ConfigError):
+            forward(params, [random_sides(rng, 4, 5)])
+        with pytest.raises(ConfigError):
+            forward(params, [random_sides(rng, 3, 6)])
 
 
 def _propagate(params, x):
