@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
-from .embeddings import PartEmbedding, R_PARTS, fused_similarity, part_cosines
+from .embeddings import PartEmbedding, R_PARTS, labeled_pairs, part_cosines
 from .errors import ConfigError, DataError, DimensionError, UsageError
 
 DEFAULT_HIDDEN = 256
@@ -78,11 +78,6 @@ def attention_weights_batch(params: AttentionParams, descriptors: np.ndarray) ->
     return attention_forward(params, Tensor(descriptors)).data
 
 
-def attention_similarity(params: AttentionParams, a: PartEmbedding, b: PartEmbedding) -> float:
-    w = attention_weights_batch(params, pair_descriptor(*order_pair(a, b))[None])
-    return fused_similarity(a, b, w[0])
-
-
 def verification_loss(s: float, y: int, cfg: VerificationConfig) -> float:
     """1 - s for positives; hinge max(0, s + margin) for negatives."""
     if y == 1:
@@ -120,19 +115,8 @@ def build_training_pairs(scenes, rng: np.random.Generator, negative_pool_factor:
 
     Returns a list of (Instance, Instance, y) with y in {+1, -1}.
     """
-    labeled = [i for s in scenes for i in s.instances if i.identity is not None]
-    labeled.sort(key=lambda i: i.instance_id)
-    by_identity = {}
-    for inst in labeled:
-        by_identity.setdefault(inst.identity, []).append(inst)
-
-    positives = []
-    for insts in by_identity.values():
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                if insts[i].scene_id != insts[j].scene_id:
-                    positives.append((insts[i], insts[j], 1))
-
+    labeled, pairs = labeled_pairs(scenes)
+    positives = [(a, b, 1) for a, b in pairs]
     if not positives:
         raise DataError("no cross-scene same-identity pairs available for training")
 

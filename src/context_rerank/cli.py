@@ -21,7 +21,7 @@ from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
 from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
 from .gradcheck import run_all
-from .graph import build_graph_samples, build_labeled_expansions, train_gcn
+from .graph import GcnParams, build_graph_samples, build_labeled_expansions, train_gcn
 from .scoring import (
     AttentionScorer,
     GraphScorer,
@@ -30,7 +30,7 @@ from .scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from .siamese import samples_from_expansions, train_siamese
+from .siamese import SiameseParams, samples_from_expansions, train_siamese
 
 log = logging.getLogger("context_rerank")
 
@@ -150,10 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_attention(path) -> AttentionParams:
+def _load_attention(path, dataset) -> AttentionParams:
     if path is None:
         raise UsageError("this scorer needs --attn (trained attention checkpoint)")
-    return AttentionParams.from_entries(load_checkpoint(path))
+    attn = AttentionParams.from_entries(load_checkpoint(path))
+    if attn.dim != dataset.d:
+        raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
+    return attn
 
 
 def _make_scorer(args, dataset):
@@ -163,9 +166,7 @@ def _make_scorer(args, dataset):
         return OracleScorer()
     if args.scorer == "random":
         return RandomScorer(seed=args.seed)
-    attn = _load_attention(args.attn)
-    if attn.dim != dataset.d:
-        raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
+    attn = _load_attention(args.attn, dataset)
     if args.scorer == "attention":
         return AttentionScorer(attn)
     if args.gcn is None:
@@ -173,11 +174,7 @@ def _make_scorer(args, dataset):
     entries = load_checkpoint(args.gcn)
     kw = dict(k=args.context_k, seed=args.seed, node_feat=args.node_feat, norm=args.norm)
     if args.scorer == "graph":
-        from .graph import GcnParams
-
         return GraphScorer(attn, GcnParams.from_entries(entries), **kw)
-    from .siamese import SiameseParams
-
     return SiameseScorer(attn, SiameseParams.from_entries(entries), **kw)
 
 
@@ -234,9 +231,7 @@ def _cmd_train_attn(args) -> int:
 
 def _cmd_train_gcn(args) -> int:
     dataset = dataio.load_dataset(args.data)
-    attn = _load_attention(args.attn)
-    if attn.dim != dataset.d:
-        raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
+    attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
     cfg = _sgd_config(args)
 

@@ -48,12 +48,28 @@ def _encode_parts(parts: np.ndarray) -> str:
     return np.ascontiguousarray(parts, dtype="<f8").tobytes().hex()
 
 
-def _decode_parts(blob: str, d: int) -> np.ndarray:
-    raw = bytes.fromhex(blob)
+def _decode_parts(blob: str, d: int, where: str) -> np.ndarray:
+    try:
+        raw = bytes.fromhex(blob)
+    except ValueError as e:
+        raise DataError(f"{where}: part vector blob is not hex: {e}") from e
     expected = R_PARTS * d * 8
     if len(raw) != expected:
-        raise DataError(f"part vector blob has {len(raw)} bytes, expected {expected}")
+        raise DataError(f"{where}: part vector blob has {len(raw)} bytes, expected {expected}")
     return np.frombuffer(raw, dtype="<f8").reshape(R_PARTS, d).astype(np.float64)
+
+
+def _field(rec, key: str, types, where: str):
+    """``rec[key]``, checked to be one of ``types`` (never a bool); anything
+    else is a DataError naming ``where``."""
+    if not isinstance(rec, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(rec).__name__}")
+    if key not in rec:
+        raise DataError(f"{where}: missing key {key!r}")
+    value = rec[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise DataError(f"{where}: {key!r} has the wrong type ({type(value).__name__}): {value!r}")
+    return value
 
 
 def _dump(obj) -> str:
@@ -82,58 +98,65 @@ def save_dataset(dataset: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """Read a dataset file. Any malformed line is a DataError naming
+    ``file:line``."""
     path = Path(path)
     scenes = []
     seen_instance_ids = set()
     seen_scene_ids = set()
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not utf-8 text: {e.reason}") from e
     if not lines:
         raise DataError(f"{path}: empty file (missing header record)")
 
     def parse(line_no, text):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise DataError(f"{path}:{line_no}: parse error: {e}") from e
 
-    header = parse(1, lines[0])
-    manifest = DatasetManifest(
-        format_version=header.get("format_version", -1),
-        d=header.get("d", 0),
-        r=header.get("r", R_PARTS),
-    )
-    if manifest.format_version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported format_version {manifest.format_version}")
+    header, where = parse(1, lines[0]), f"{path}:1"
+    version = _field(header, "format_version", int, where)
+    if version != FORMAT_VERSION:
+        raise DataError(f"{where}: unsupported format_version {version}")
+    try:
+        manifest = DatasetManifest(version, d=_field(header, "d", int, where),
+                                   r=_field(header, "r", int, where) if "r" in header else R_PARTS)
+    except DataError as e:
+        raise DataError(f"{where}: {e}") from e
 
     for line_no, text in enumerate(lines[1:], start=2):
         if not text.strip():
             continue
-        rec = parse(line_no, text)
-        scene_id = rec["scene_id"]
+        rec, where = parse(line_no, text), f"{path}:{line_no}"
+        scene_id = _field(rec, "scene_id", str, where)
         if scene_id in seen_scene_ids:
-            raise DataError(f"{path}:{line_no}: duplicate scene_id {scene_id!r}")
+            raise DataError(f"{where}: duplicate scene_id {scene_id!r}")
         seen_scene_ids.add(scene_id)
+        camera_id = _field(rec, "camera_id", str, where)
         instances = []
-        where = f"{path}:{line_no}"
-        for irec in rec["instances"]:
-            iid = irec["instance_id"]
+        for irec in _field(rec, "instances", list, where):
+            iid = _field(irec, "instance_id", str, where)
             if iid in seen_instance_ids:
-                raise DataError(f"{path}:{line_no}: duplicate instance_id {iid!r}")
+                raise DataError(f"{where}: duplicate instance_id {iid!r}")
             seen_instance_ids.add(iid)
-            emb = PartEmbedding.from_array(
-                _decode_parts(irec["parts"], manifest.d), context=f" of instance {iid} ({where})"
-            )
-            instances.append(
-                Instance(
-                    instance_id=iid,
-                    scene_id=scene_id,
-                    box=tuple(irec["box"]),
-                    identity=irec["identity"],
-                    embedding=emb,
-                )
-            )
-        scenes.append(Scene(scene_id=scene_id, camera_id=rec["camera_id"], instances=tuple(instances)))
+            box = _field(irec, "box", list, where)
+            if len(box) != 4 or not all(
+                isinstance(v, int) and not isinstance(v, bool) or isinstance(v, float) and math.isfinite(v)
+                for v in box
+            ):
+                raise DataError(f"{where}: instance {iid}: box must be 4 finite numbers, got {box!r}")
+            identity = _field(irec, "identity", (int, type(None)), where)
+            parts = _decode_parts(_field(irec, "parts", str, where), manifest.d, where)
+            emb = PartEmbedding.from_array(parts, context=f" of instance {iid} ({where})")
+            try:
+                instances.append(Instance(iid, scene_id, tuple(box), identity, emb))
+            except DataError as e:
+                raise DataError(f"{where}: {e}") from e
+        scenes.append(Scene(scene_id=scene_id, camera_id=camera_id, instances=tuple(instances)))
     return Dataset(d=manifest.d, scenes=tuple(scenes))
 
 

@@ -128,3 +128,17 @@ def cosine_matrix(group_a: Sequence[PartEmbedding], group_b: Sequence[PartEmbedd
     stack_a = np.stack([e.parts for e in group_a])  # (na, 4, d)
     stack_b = np.stack([e.parts for e in group_b])
     return np.einsum("ird,jrd->ijr", stack_a, stack_b)
+
+
+def labeled_pairs(scenes):
+    """The labeled persons of ``scenes`` sorted by instance id, and every
+    cross-scene same-identity pair among them: identities in order of their
+    first person, pairs (a, b) with a before b in that order."""
+    labeled = sorted((i for s in scenes for i in s.instances if i.identity is not None),
+                     key=lambda i: i.instance_id)
+    by_identity = {}
+    for inst in labeled:
+        by_identity.setdefault(inst.identity, []).append(inst)
+    pairs = [(a, b) for insts in by_identity.values() for n, a in enumerate(insts)
+             for b in insts[n + 1:] if a.scene_id != b.scene_id]
+    return labeled, pairs

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
-from .embeddings import Instance, PartEmbedding, Scene, WHOLE
+from .embeddings import WHOLE, labeled_pairs
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .expansion import ExpandedPair, expand
 
@@ -47,12 +47,21 @@ def normalize_adjacency(a: np.ndarray, mode: str = "sym") -> np.ndarray:
     raise ConfigError(f"adjacency normalization must be one of {NORM_MODES}, got {mode!r}")
 
 
-def _node_features(a: PartEmbedding, b: PartEmbedding, node_feat: str) -> np.ndarray:
+def side_matrices(ep: ExpandedPair, node_feat: str = "whole"):
+    """Node feature matrices (probe side, gallery side), each (K+1, f), of
+    an expanded pair: the target pair in row 0, then the context pairs."""
     if node_feat == "whole":
-        return np.concatenate([a.parts[WHOLE], b.parts[WHOLE]])
-    if node_feat == "allparts":
-        return np.concatenate([a.parts.reshape(-1), b.parts.reshape(-1)])
-    raise ConfigError(f"node_feat must be one of {NODE_FEAT_MODES}, got {node_feat!r}")
+        feat = lambda inst: inst.embedding.parts[WHOLE]
+    elif node_feat == "allparts":
+        feat = lambda inst: inst.embedding.parts.reshape(-1)
+    else:
+        raise ConfigError(f"node_feat must be one of {NODE_FEAT_MODES}, got {node_feat!r}")
+    pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
+    rows = [(feat(a), feat(b)) for a, b in pairs]
+    widths = {r.shape[0] for row in rows for r in row}
+    if len(widths) != 1:
+        raise DataError(f"inconsistent node feature dimensions in graph: {sorted(widths)}")
+    return np.stack([a for a, _ in rows]), np.stack([b for _, b in rows])
 
 
 @dataclass(frozen=True)
@@ -74,15 +83,9 @@ def build_graph(ep: ExpandedPair, node_feat: str = "whole", norm: str = "sym") -
             f"build_graph needs exactly K={ep.k} contexts, got {len(ep.contexts)}"
             + (" (degenerate target)" if ep.degenerate else "")
         )
-    probe, gallery = ep.target
-    rows = [_node_features(probe.embedding, gallery.embedding, node_feat)]
-    for c in ep.contexts:
-        rows.append(_node_features(c.probe_ctx.embedding, c.gallery_ctx.embedding, node_feat))
-    widths = {r.shape[0] for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"inconsistent node feature dimensions in graph: {sorted(widths)}")
-    a = star_adjacency(len(rows))
-    return ContextGraph(x=np.stack(rows), adjacency=a, norm_adjacency=normalize_adjacency(a, norm))
+    x = np.concatenate(side_matrices(ep, node_feat), axis=1)
+    a = star_adjacency(len(x))
+    return ContextGraph(x=x, adjacency=a, norm_adjacency=normalize_adjacency(a, norm))
 
 
 @dataclass
@@ -198,28 +201,6 @@ def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     return params
 
 
-def graph_score(
-    attn_scorer,
-    gcn_params: GcnParams,
-    probe_scene: Scene,
-    probe: Instance,
-    gallery_scene: Scene,
-    gallery: Instance,
-    k: int = 3,
-    seed: int = 0,
-    node_feat: str = "whole",
-    norm: str = "sym",
-) -> float:
-    """Expansion -> graph -> GCN probability; falls back to rescaled pair
-    similarity for targets with no context at all."""
-    ep = expand(probe_scene, probe, gallery_scene, gallery, attn_scorer, k=k, seed=seed)
-    if ep.degenerate:
-        return (attn_scorer(probe, gallery) + 1.0) / 2.0
-    graph = build_graph(ep, node_feat=node_feat, norm=norm)
-    _, score = gcn_forward(gcn_params, graph)
-    return score
-
-
 def build_labeled_expansions(
     scenes,
     attn_scorer,
@@ -237,22 +218,12 @@ def build_labeled_expansions(
     """
     rng = np.random.default_rng((seed, 0x6C7))
     scene_of = {s.scene_id: s for s in scenes}
-    labeled = [i for s in scenes for i in s.instances if i.identity is not None]
-    labeled.sort(key=lambda i: i.instance_id)
-    by_identity = {}
-    for inst in labeled:
-        by_identity.setdefault(inst.identity, []).append(inst)
+    labeled, positive_pairs = labeled_pairs(scenes)
 
     def make_expansion(a, b):
         ep = expand(scene_of[a.scene_id], a, scene_of[b.scene_id], b, attn_scorer, k=k, seed=seed)
         return None if ep.degenerate else ep
 
-    positive_pairs = []
-    for insts in by_identity.values():
-        for i in range(len(insts)):
-            for j in range(i + 1, len(insts)):
-                if insts[i].scene_id != insts[j].scene_id:
-                    positive_pairs.append((insts[i], insts[j]))
     if max_positives is not None and len(positive_pairs) > max_positives:
         idx = rng.choice(len(positive_pairs), size=max_positives, replace=False)
         positive_pairs = [positive_pairs[i] for i in sorted(idx)]

@@ -13,11 +13,11 @@ import zlib
 import numpy as np
 
 from .attention import AttentionParams, attention_weights_batch, order_pair, pair_descriptor
-from .embeddings import Instance, Scene, cosine_matrix, uniform_weights
+from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import UsageError
 from .expansion import expand
-from .graph import GcnParams, build_graph, gcn_score_batch, normalize_adjacency, star_adjacency
-from .siamese import SiameseParams, side_matrices, siamese_score_batch
+from .graph import GcnParams, gcn_score_batch, normalize_adjacency, side_matrices, star_adjacency
+from .siamese import SiameseParams, siamese_score_batch
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
@@ -26,10 +26,6 @@ class UniformScorer:
     """Mean of the four part cosines (fixed 0.25 weights)."""
 
     name = "uniform"
-
-    def pair_score(self, a: Instance, b: Instance) -> float:
-        cos = cosine_matrix([a.embedding], [b.embedding])[0, 0]
-        return float(cos @ uniform_weights())
 
     def score_scene(self, probe_scene, probe, gallery_scene):
         insts = list(gallery_scene.instances)
@@ -96,29 +92,41 @@ class AttentionScorer:
 
 
 class _ContextScorerBase:
-    """Shared expansion machinery for the graph-based scorers."""
+    """Shared expansion machinery for the graph-based scorers: every target
+    gets its K context pairs, and all targets share one star graph Â."""
 
     def __init__(self, attn_params: AttentionParams, k: int = 3, seed: int = 0,
                  node_feat: str = "whole", norm: str = "sym"):
+        if k < 1:
+            raise UsageError(f"context K must be >= 1, got {k}")
         self.attn = AttentionScorer(attn_params)
         self.k = k
         self.seed = seed
         self.node_feat = node_feat
-        self.norm = norm
+        self.a_hat = normalize_adjacency(star_adjacency(k + 1), norm)
 
-    def _expansions(self, probe_scene, probe, gallery_scene):
-        """One ExpandedPair per gallery instance, reusing a single pairwise
-        attention-similarity matrix for the scene pair."""
+    def _score_targets(self, probe_scene, probe, gallery_scene, score_batch):
+        """Score every gallery person. Targets with context go to
+        ``score_batch(XA, XB)`` as stacked (B, K+1, f) probe-side and
+        gallery-side node features, reusing one pairwise attention-similarity
+        matrix for the scene pair; targets without context fall back to the
+        rescaled pair similarity."""
         insts = list(gallery_scene.instances)
         scorer = self.attn.scene_scorer((probe_scene, gallery_scene))
-        expansions = [
-            expand(probe_scene, probe, gallery_scene, target, scorer, k=self.k, seed=self.seed)
-            for target in insts
-        ]
-        return insts, expansions
-
-    def _fallback(self, probe, target) -> float:
-        return (self.attn.pair_score(probe, target) + 1.0) / 2.0
+        scores = np.zeros(len(insts))
+        batch_idx, batch_a, batch_b = [], [], []
+        for i, target in enumerate(insts):
+            ep = expand(probe_scene, probe, gallery_scene, target, scorer, k=self.k, seed=self.seed)
+            if ep.degenerate:
+                scores[i] = (self.attn.pair_score(probe, target) + 1.0) / 2.0
+            else:
+                xa, xb = side_matrices(ep, self.node_feat)
+                batch_idx.append(i)
+                batch_a.append(xa)
+                batch_b.append(xb)
+        if batch_idx:
+            scores[batch_idx] = score_batch(np.stack(batch_a), np.stack(batch_b))
+        return list(zip(insts, scores))
 
 
 class GraphScorer(_ContextScorerBase):
@@ -130,28 +138,9 @@ class GraphScorer(_ContextScorerBase):
         super().__init__(attn_params, **kw)
         self.gcn = gcn_params
 
-    def pair_score(self, probe_scene, probe, gallery_scene, target) -> float:
-        for inst, score in self.score_scene(probe_scene, probe, gallery_scene):
-            if inst.instance_id == target.instance_id:
-                return score
-        raise UsageError(f"{target.instance_id} not in scene {gallery_scene.scene_id}")
-
     def score_scene(self, probe_scene, probe, gallery_scene):
-        insts, expansions = self._expansions(probe_scene, probe, gallery_scene)
-        scores = np.zeros(len(insts))
-        batch, batch_idx = [], []
-        a_hat = None
-        for i, (target, ep) in enumerate(zip(insts, expansions)):
-            if ep.degenerate:
-                scores[i] = self._fallback(probe, target)
-            else:
-                g = build_graph(ep, node_feat=self.node_feat, norm=self.norm)
-                a_hat = g.norm_adjacency
-                batch.append(g.x)
-                batch_idx.append(i)
-        if batch:
-            scores[batch_idx] = gcn_score_batch(self.gcn, a_hat, np.stack(batch))
-        return list(zip(insts, scores))
+        return self._score_targets(probe_scene, probe, gallery_scene, lambda xa, xb: gcn_score_batch(
+            self.gcn, self.a_hat, np.concatenate([xa, xb], axis=2)))
 
 
 class SiameseScorer(_ContextScorerBase):
@@ -164,23 +153,8 @@ class SiameseScorer(_ContextScorerBase):
         self.siamese = siamese_params
 
     def score_scene(self, probe_scene, probe, gallery_scene):
-        insts, expansions = self._expansions(probe_scene, probe, gallery_scene)
-        scores = np.zeros(len(insts))
-        batch_a, batch_b, batch_idx = [], [], []
-        for i, (target, ep) in enumerate(zip(insts, expansions)):
-            if ep.degenerate:
-                scores[i] = self._fallback(probe, target)
-            else:
-                xa, xb = side_matrices(ep, self.node_feat)
-                batch_a.append(xa)
-                batch_b.append(xb)
-                batch_idx.append(i)
-        if batch_a:
-            a_hat = normalize_adjacency(star_adjacency(batch_a[0].shape[0]), self.norm)
-            scores[batch_idx] = siamese_score_batch(
-                self.siamese, a_hat, np.stack(batch_a), np.stack(batch_b)
-            )
-        return list(zip(insts, scores))
+        return self._score_targets(probe_scene, probe, gallery_scene, lambda xa, xb: siamese_score_batch(
+            self.siamese, self.a_hat, xa, xb))
 
 
 class OracleScorer:

@@ -12,18 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
-from .embeddings import Instance, PartEmbedding, Scene, WHOLE
-from .errors import ConfigError, DataError
-from .expansion import expand
-from .graph import READOUT_DIM, DEFAULT_LAYERS, graph_readout, normalize_adjacency, star_adjacency
-
-
-def _side_features(emb: PartEmbedding, node_feat: str) -> np.ndarray:
-    if node_feat == "whole":
-        return emb.parts[WHOLE]
-    if node_feat == "allparts":
-        return emb.parts.reshape(-1)
-    raise ConfigError(f"node_feat must be 'whole' or 'allparts', got {node_feat!r}")
+from .errors import DataError
+from .graph import READOUT_DIM, DEFAULT_LAYERS, graph_readout, normalize_adjacency, side_matrices, star_adjacency
 
 
 @dataclass(frozen=True)
@@ -100,41 +90,6 @@ def train_siamese(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list
     return params
 
 
-def side_matrices(ep, node_feat: str = "whole"):
-    """Node feature matrices (probe side, gallery side) for an expanded pair."""
-    probe, gallery = ep.target
-    xa = [_side_features(probe.embedding, node_feat)]
-    xb = [_side_features(gallery.embedding, node_feat)]
-    for c in ep.contexts:
-        xa.append(_side_features(c.probe_ctx.embedding, node_feat))
-        xb.append(_side_features(c.gallery_ctx.embedding, node_feat))
-    return np.stack(xa), np.stack(xb)
-
-
-def siamese_graph_score(
-    attn_scorer,
-    params: SiameseParams,
-    probe_scene: Scene,
-    probe: Instance,
-    gallery_scene: Scene,
-    gallery: Instance,
-    k: int = 3,
-    seed: int = 0,
-    node_feat: str = "whole",
-    norm: str = "sym",
-) -> float:
-    ep = expand(probe_scene, probe, gallery_scene, gallery, attn_scorer, k=k, seed=seed)
-    if ep.degenerate:
-        return (attn_scorer(probe, gallery) + 1.0) / 2.0
-    xa, xb = side_matrices(ep, node_feat)
-    a_hat = normalize_adjacency(star_adjacency(xa.shape[0]), norm)
-    return float(siamese_score_batch(params, a_hat, xa[None], xb[None])[0])
-
-
 def samples_from_expansions(expansions, node_feat: str = "whole"):
     """Turn (ExpandedPair, label) tuples into SiameseSamples."""
-    out = []
-    for ep, label in expansions:
-        xa, xb = side_matrices(ep, node_feat)
-        out.append(SiameseSample(xa=xa, xb=xb, label=label))
-    return out
+    return [SiameseSample(*side_matrices(ep, node_feat), label=label) for ep, label in expansions]

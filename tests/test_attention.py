@@ -5,7 +5,6 @@ from context_rerank.attention import (
     AttentionParams,
     VerificationConfig,
     attention_forward,
-    attention_similarity,
     attention_weights_batch,
     build_training_pairs,
     init_attention_params,
@@ -16,8 +15,9 @@ from context_rerank.attention import (
     verification_loss,
 )
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
-from context_rerank.embeddings import Instance, PartEmbedding, Scene, part_cosines
+from context_rerank.embeddings import Instance, PartEmbedding, Scene, fused_similarity, part_cosines
 from context_rerank.errors import ConfigError, DataError, DimensionError, UsageError
+from context_rerank.scoring import AttentionScorer
 
 
 def make_embedding(seed=0, d=8):
@@ -34,6 +34,10 @@ def make_params(seed=0, d=8, hidden=6):
 def attention_weights(params, a, b):
     """Weights of one pair, through the batched inference path."""
     return attention_weights_batch(params, pair_descriptor(*order_pair(a, b))[None])[0]
+
+
+def as_instance(emb, iid):
+    return Instance(iid, "s", (0, 0, 5, 9), None, emb)
 
 
 def reference_weights(params, a, b):
@@ -77,7 +81,8 @@ class TestWeights:
         params = make_params(8)
         a, b = make_embedding(9), make_embedding(10)
         assert np.array_equal(attention_weights(params, a, b), attention_weights(params, b, a))
-        assert attention_similarity(params, a, b) == attention_similarity(params, b, a)
+        scorer, ia, ib = AttentionScorer(params), as_instance(a, "a"), as_instance(b, "b")
+        assert scorer.pair_score(ia, ib) == scorer.pair_score(ib, ia)
 
     def test_batch_matches_single(self):
         params = make_params(11)
@@ -90,8 +95,8 @@ class TestWeights:
     def test_similarity_is_weighted_cosine(self):
         params = make_params(12)
         a, b = make_embedding(13), make_embedding(14)
-        w = attention_weights(params, a, b)
-        assert attention_similarity(params, a, b) == pytest.approx(
+        w = reference_weights(params, a, b)
+        assert AttentionScorer(params).pair_score(as_instance(a, "a"), as_instance(b, "b")) == pytest.approx(
             float(w @ part_cosines(a, b)), abs=1e-12
         )
 
@@ -122,7 +127,7 @@ class TestVerificationLoss:
         params = make_params(15)
         cfg = VerificationConfig(margin=0.3)
         a, b = make_embedding(16), make_embedding(17)
-        s = attention_similarity(params, a, b)
+        s = fused_similarity(a, b, attention_weights(params, a, b))
         for y in (1, -1):
             loss = pair_loss(params, [(a, b, y)], cfg)
             assert loss.item() == pytest.approx(verification_loss(s, y, cfg), abs=1e-12)

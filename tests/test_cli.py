@@ -74,6 +74,14 @@ class TestTraining:
                     "--out", str(tmp_path / "o.ckpt")] + TRAIN_ARGS)
         assert code == 3
 
+    def test_malformed_dataset_exits_3_naming_line(self, workspace, tmp_path, caplog):
+        lines = workspace["data"].read_text().splitlines()
+        lines[2] = lines[2].replace('"identity":', '"identity":1.5,"was":', 1)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run(["eval", "--data", str(bad), "--scorer", "uniform"]) == 3
+        assert "bad.jsonl:3:" in caplog.text
+
     def test_incompatible_checkpoint_dims_exit_3(self, workspace, tmp_path):
         other = tmp_path / "other.jsonl"
         assert run(GEN_ARGS[:-4] + ["--dim", "8", "--seed", "5", "--out", str(other)]) == 0

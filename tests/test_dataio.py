@@ -121,6 +121,46 @@ class TestRoundTrip:
             load_dataset(path)
 
 
+def _set(rec, key, value):
+    rec[key] = value
+
+
+MALFORMED = {
+    # name: (line to edit, edit of its JSON record)
+    "missing_key": (2, lambda rec: rec["instances"][0].pop("box")),
+    "non_hex_parts": (2, lambda rec: _set(rec["instances"][0], "parts", "zz" + rec["instances"][0]["parts"][2:])),
+    "string_identity": (2, lambda rec: _set(rec["instances"][0], "identity", "7")),
+    "two_element_box": (2, lambda rec: _set(rec["instances"][0], "box", [1.0, 2.0])),
+    "non_list_instances": (2, lambda rec: _set(rec, "instances", 5)),
+    "string_header_d": (1, lambda rec: _set(rec, "d", "x")),
+    "float_identity": (2, lambda rec: _set(rec["instances"][0], "identity", 1.5)),
+}
+
+
+class TestMalformedRecords:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_is_data_error_naming_file_and_line(self, tmp_path, name):
+        line, edit = MALFORMED[name]
+        path = tmp_path / "bad.jsonl"
+        save_dataset(generate_synthetic(SynthConfig(**SMALL)), path)
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[line - 1])
+        edit(rec)
+        lines[line - 1] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"bad.jsonl:{line}:"):
+            load_dataset(path)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        save_dataset(generate_synthetic(SynthConfig(**SMALL)), path)
+        raw = path.read_bytes()
+        second = raw.index(b"\n") + 1
+        path.write_bytes(raw[:second] + b"\xff" + raw[second + 1:])
+        with pytest.raises(DataError, match="bad.jsonl: not utf-8"):
+            load_dataset(path)
+
+
 class TestGenerator:
     def test_deterministic_per_seed(self, tmp_path):
         cfg = SynthConfig(**SMALL)

@@ -8,6 +8,7 @@ from context_rerank.embeddings import (
     PartEmbedding,
     Scene,
     fused_similarity,
+    labeled_pairs,
     part_cosine,
     uniform_weights,
 )
@@ -134,3 +135,23 @@ def test_instance_and_scene_validation():
     with pytest.raises(DataError):
         Scene("other", "cam0", (inst,))
     Scene("s1", "cam0", (inst,))
+
+
+def test_labeled_pairs_order():
+    # persons sorted by id; identities in order of their first person; pairs
+    # (a, b) with a before b, same-scene and unlabeled persons left out
+    def scene(scene_id, people):
+        return Scene(scene_id, "cam0", tuple(
+            Instance(iid, scene_id, (0, 0, 5, 9), ident, make_embedding(n)) for n, (iid, ident) in enumerate(people)
+        ))
+
+    scenes = [
+        scene("s1", [("b1", 7), ("a1", 3), ("c1", None)]),
+        scene("s0", [("a0", 3), ("b0", 7), ("d0", 3)]),
+        scene("s2", [("a2", 3)]),
+    ]
+    labeled, pairs = labeled_pairs(scenes)
+    assert [i.instance_id for i in labeled] == ["a0", "a1", "a2", "b0", "b1", "d0"]
+    assert [(a.instance_id, b.instance_id) for a, b in pairs] == [
+        ("a0", "a1"), ("a0", "a2"), ("a1", "a2"), ("a1", "d0"), ("a2", "d0"), ("b0", "b1"),
+    ]

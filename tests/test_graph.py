@@ -5,6 +5,7 @@ import pytest
 
 from context_rerank.autodiff import SgdConfig, Tensor
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
+from context_rerank.attention import init_attention_params
 from context_rerank.errors import ConfigError, DataError, UsageError
 from context_rerank.expansion import expand
 from context_rerank.graph import (
@@ -15,13 +16,14 @@ from context_rerank.graph import (
     build_graph_samples,
     gcn_forward,
     gcn_score_batch,
-    graph_score,
     init_gcn_params,
     normalize_adjacency,
     sample_loss,
+    side_matrices,
     star_adjacency,
     train_gcn,
 )
+from context_rerank.scoring import GraphScorer
 
 
 def make_instance(iid, scene_id, identity=None, d=8, seed=None):
@@ -125,6 +127,20 @@ class TestBuildGraph:
         ep = expand(ps, ps.instances[0], gs, gs.instances[0], lambda p, g: 0.0, k=3, seed=0)
         with pytest.raises(UsageError):
             build_graph(ep)
+
+    @pytest.mark.parametrize("node_feat", ["whole", "allparts"])
+    def test_rows_are_the_two_side_matrices_side_by_side(self, node_feat):
+        ep = self._expansion()
+        x = build_graph(ep, node_feat=node_feat).x
+        assert np.array_equal(x, np.concatenate(side_matrices(ep, node_feat), axis=1))
+        feat = (lambda e: e.parts[0]) if node_feat == "whole" else (lambda e: e.parts.reshape(-1))
+        pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
+        reference = np.stack([np.concatenate([feat(a.embedding), feat(b.embedding)]) for a, b in pairs])
+        assert np.array_equal(x, reference)
+
+    def test_unknown_node_feat_rejected(self):
+        with pytest.raises(ConfigError):
+            side_matrices(self._expansion(), "colors")
 
 
 class TestGcnForward:
@@ -251,24 +267,33 @@ class TestTraining:
 
 
 class TestGraphScore:
+    """Scene scoring through GraphScorer, the graph model's only scoring path."""
+
     def test_degenerate_falls_back_to_rescaled_similarity(self):
-        ps = make_scene("sp", ["pt"])
-        gs = make_scene("sg", ["gt"])
+        # a zero output layer gives the attention head uniform weights, and the
+        # gallery person matches the probe on three parts and opposes it on the
+        # fourth, so the pair similarity is 0.5 and the fallback (0.5 + 1) / 2
+        probe = make_instance("pt", "sp", seed=1)
+        parts = probe.embedding.parts * np.array([[1.0], [1.0], [1.0], [-1.0]])
+        target = Instance("gt", "sg", (0, 0, 10, 20), None, PartEmbedding.from_array(parts))
+        ps, gs = Scene("sp", "cam0", (probe,)), Scene("sg", "cam1", (target,))
         rng = np.random.default_rng(12)
-        params = init_gcn_params(rng, 4, 16, readout_dim=5)
-        score = graph_score(
-            lambda p, g: 0.5, params, ps, ps.instances[0], gs, gs.instances[0], k=1, seed=0
-        )
+        attn = init_attention_params(rng, 8, hidden=6)
+        attn.w2.data[:] = 0.0
+        params = init_gcn_params(rng, 2, 16, readout_dim=5)
+        [(inst, score)] = GraphScorer(attn, params, k=1, seed=0).score_scene(ps, probe, gs)
+        assert inst is target
         assert score == pytest.approx(0.75, abs=1e-12)
 
     def test_graph_score_in_unit_interval(self):
         ps = make_scene("sp", ["pt", "p1", "p2", "p3"])
         gs = make_scene("sg", ["gt", "g1", "g2", "g3"])
         rng = np.random.default_rng(13)
+        attn = init_attention_params(rng, 8, hidden=6)
         params = init_gcn_params(rng, 4, 16, readout_dim=5)
-        scorer = lambda p, g: float(np.dot(p.embedding.parts[0], g.embedding.parts[0]))
-        score = graph_score(scorer, params, ps, ps.instances[0], gs, gs.instances[0], k=3, seed=0)
-        assert 0.0 <= score <= 1.0
+        scored = GraphScorer(attn, params, k=3, seed=0).score_scene(ps, ps.instances[0], gs)
+        assert [i.instance_id for i, _ in scored] == ["gt", "g1", "g2", "g3"]
+        assert all(0.0 <= s <= 1.0 for _, s in scored)
 
 
 class TestBuildGraphSamples:

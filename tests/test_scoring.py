@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from context_rerank.attention import attention_similarity, init_attention_params
+from context_rerank.attention import attention_weights_batch, init_attention_params, order_pair, pair_descriptor
 from context_rerank.embeddings import (
     Instance,
     PartEmbedding,
@@ -9,7 +9,8 @@ from context_rerank.embeddings import (
     fused_similarity,
     uniform_weights,
 )
-from context_rerank.graph import graph_score, init_gcn_params
+from context_rerank.expansion import expand
+from context_rerank.graph import build_graph, gcn_forward, init_gcn_params, normalize_adjacency, star_adjacency
 from context_rerank.scoring import (
     AttentionScorer,
     GraphScorer,
@@ -18,7 +19,7 @@ from context_rerank.scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from context_rerank.siamese import init_siamese_params, siamese_graph_score
+from context_rerank.siamese import init_siamese_params, siamese_score_batch
 
 
 def make_instance(iid, scene_id, identity=None, d=8):
@@ -33,6 +34,33 @@ def make_scene(scene_id, ids, identities=None):
     return Scene(
         scene_id, "cam0", tuple(make_instance(i, scene_id, ident) for i, ident in zip(ids, identities))
     )
+
+
+def reference_expansion(attn, ps, probe, gs, target, k, seed):
+    """One target's expansion with single-pair attention lookups, and the
+    rescaled pair similarity used when it has no context."""
+    scorer = AttentionScorer(attn)
+    ep = expand(ps, probe, gs, target, scorer.pair_score, k=k, seed=seed)
+    return ep, (scorer.pair_score(probe, target) + 1.0) / 2.0
+
+
+def reference_graph_score(attn, gcn, ps, probe, gs, target, k, seed):
+    """One target at a time: expand, build its graph, run the GCN on it."""
+    ep, fallback = reference_expansion(attn, ps, probe, gs, target, k, seed)
+    return fallback if ep.degenerate else gcn_forward(gcn, build_graph(ep))[1]
+
+
+def reference_siamese_score(attn, siam, ps, probe, gs, target, k, seed):
+    """One target at a time: expand, stack each side's whole-body features,
+    run the siamese model on the pair of graphs."""
+    ep, fallback = reference_expansion(attn, ps, probe, gs, target, k, seed)
+    if ep.degenerate:
+        return fallback
+    pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
+    xa = np.stack([a.embedding.parts[0] for a, _ in pairs])
+    xb = np.stack([b.embedding.parts[0] for _, b in pairs])
+    a_hat = normalize_adjacency(star_adjacency(k + 1))
+    return float(siamese_score_batch(siam, a_hat, xa[None], xb[None])[0])
 
 
 @pytest.fixture()
@@ -63,7 +91,9 @@ class TestAttentionScorer:
         scorer = AttentionScorer(params)
         probe = ps.instances[0]
         for inst, score in scorer.score_scene(ps, probe, gs):
-            expected = attention_similarity(params, probe.embedding, inst.embedding)
+            a, b = order_pair(probe.embedding, inst.embedding)
+            w = attention_weights_batch(params, pair_descriptor(a, b)[None])[0]
+            expected = fused_similarity(probe.embedding, inst.embedding, w)
             assert score == pytest.approx(expected, abs=1e-12)
 
     def test_pair_matrix_shape_and_symmetry(self, scene_pair):
@@ -77,23 +107,16 @@ class TestAttentionScorer:
 
 
 class TestGraphScorer:
-    def test_matches_graph_score_function(self, scene_pair):
+    def test_matches_per_target_reference(self, scene_pair):
         ps, gs = scene_pair
         rng = np.random.default_rng(2)
         attn = init_attention_params(rng, 8, hidden=6)
         gcn = init_gcn_params(rng, 3, 16, readout_dim=5)
         scorer = GraphScorer(attn, gcn, k=2, seed=7)
         probe = ps.instances[0]
-        results = dict(
-            (inst.instance_id, s) for inst, s in scorer.score_scene(ps, probe, gs)
-        )
-        attn_scorer = AttentionScorer(attn)
-        for inst in gs.instances:
-            expected = graph_score(
-                lambda a, b: attn_scorer.pair_score(a, b),
-                gcn, ps, probe, gs, inst, k=2, seed=7,
-            )
-            assert results[inst.instance_id] == pytest.approx(expected, abs=1e-12)
+        for inst, score in scorer.score_scene(ps, probe, gs):
+            expected = reference_graph_score(attn, gcn, ps, probe, gs, inst, k=2, seed=7)
+            assert score == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_gallery_uses_fallback(self):
         ps = make_scene("sp", ["p0"])
@@ -108,19 +131,15 @@ class TestGraphScorer:
 
 
 class TestSiameseScorer:
-    def test_matches_siamese_graph_score(self, scene_pair):
+    def test_matches_per_target_reference(self, scene_pair):
         ps, gs = scene_pair
         rng = np.random.default_rng(4)
         attn = init_attention_params(rng, 8, hidden=6)
         siam = init_siamese_params(rng, 3, 8, readout_dim=5)
         scorer = SiameseScorer(attn, siam, k=2, seed=7)
         probe = ps.instances[0]
-        attn_scorer = AttentionScorer(attn)
         for inst, score in scorer.score_scene(ps, probe, gs):
-            expected = siamese_graph_score(
-                lambda a, b: attn_scorer.pair_score(a, b),
-                siam, ps, probe, gs, inst, k=2, seed=7,
-            )
+            expected = reference_siamese_score(attn, siam, ps, probe, gs, inst, k=2, seed=7)
             assert score == pytest.approx(expected, abs=1e-12)
 
 

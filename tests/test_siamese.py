@@ -5,16 +5,16 @@ from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_che
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
 from context_rerank.errors import ConfigError, DataError
 from context_rerank.expansion import expand
-from context_rerank.graph import normalize_adjacency, star_adjacency
+from context_rerank.attention import init_attention_params
+from context_rerank.graph import normalize_adjacency, side_matrices, star_adjacency
+from context_rerank.scoring import SiameseScorer
 from context_rerank.siamese import (
     SiameseParams,
     SiameseSample,
     init_siamese_params,
     samples_from_expansions,
     siamese_forward,
-    siamese_graph_score,
     siamese_score_batch,
-    side_matrices,
     train_siamese,
 )
 
@@ -173,13 +173,19 @@ class TestTraining:
 
 class TestGraphScore:
     def test_degenerate_fallback(self):
-        ps = make_scene("sp", ["pt"])
-        gs = make_scene("sg", ["gt"])
+        # uniform attention weights (zero output layer) and a gallery person
+        # that matches the probe on the whole body and opposes it on the other
+        # parts: pair similarity -0.5, fallback (-0.5 + 1) / 2
+        probe = make_instance("pt", "sp")
+        parts = probe.embedding.parts * np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+        target = Instance("gt", "sg", (0, 0, 10, 20), None, PartEmbedding.from_array(parts))
+        ps, gs = Scene("sp", "cam0", (probe,)), Scene("sg", "cam1", (target,))
         rng = np.random.default_rng(5)
+        attn = init_attention_params(rng, 8, hidden=6)
+        attn.w2.data[:] = 0.0
         params = init_siamese_params(rng, 2, 8, readout_dim=4)
-        score = siamese_graph_score(
-            lambda p, g: -0.5, params, ps, ps.instances[0], gs, gs.instances[0], k=1, seed=0
-        )
+        [(inst, score)] = SiameseScorer(attn, params, k=1, seed=0).score_scene(ps, probe, gs)
+        assert inst is target
         assert score == pytest.approx(0.25, abs=1e-12)
 
 
