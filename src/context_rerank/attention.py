@@ -70,7 +70,30 @@ def attention_forward(params: AttentionParams, x: Tensor) -> Tensor:
         raise DimensionError(
             f"descriptor batch of shape {x.shape} does not match parameters (expect (B, {width}), {width} = 2*R*d)"
         )
-    return x.linear(params.w1, params.b1).relu().linear(params.w2, params.b2).softmax()
+    return attention_head(params, x.linear(params.w1, params.b1))
+
+
+def attention_head(params: AttentionParams, h: Tensor) -> Tensor:
+    """The head after its first layer: (B, hidden) pre-activations -> (B, 4) weights."""
+    return h.relu().linear(params.w2, params.b2).softmax()
+
+
+def slot_projections(params: AttentionParams, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """First-layer products of persons in one slot of a pair, for (n1, R, d)
+    part stacks in the first slot of ``pair_descriptor`` and (n2, R, d) in
+    the second: row i of the (n1 + n2, hidden) result is ``w1`` times the
+    descriptor holding stack i in its slot and zeros in the other. The
+    layer is linear, so the first layer of ``pair_descriptor(a, b)`` is the
+    first-slot row of a plus the second-slot row of b plus ``b1``."""
+    n1, r, d = first.shape
+    width = params.w1.shape[1]
+    if 2 * r * d != width or second.shape[1:] != (r, d):
+        raise DimensionError(f"part stacks of shapes {first.shape[1:]} and {second.shape[1:]} do not "
+                             f"match parameters (expect (R, d) with 2*R*d = {width})")
+    rows = np.zeros((n1 + len(second), r, 2, d))
+    rows[:n1, :, 0] = first
+    rows[n1:, :, 1] = second
+    return rows.reshape(-1, width) @ params.w1.data.T
 
 
 def attention_weights_batch(params: AttentionParams, descriptors: np.ndarray) -> np.ndarray:

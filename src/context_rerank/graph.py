@@ -47,21 +47,27 @@ def normalize_adjacency(a: np.ndarray, mode: str = "sym") -> np.ndarray:
     raise ConfigError(f"adjacency normalization must be one of {NORM_MODES}, got {mode!r}")
 
 
+def node_features(insts, node_feat: str = "whole") -> np.ndarray:
+    """The (len(insts), f) node feature rows of persons: the whole-body
+    part, or all parts one after another."""
+    if node_feat == "whole":
+        rows = [i.embedding.parts[WHOLE] for i in insts]
+    elif node_feat == "allparts":
+        rows = [i.embedding.parts.reshape(-1) for i in insts]
+    else:
+        raise ConfigError(f"node_feat must be one of {NODE_FEAT_MODES}, got {node_feat!r}")
+    widths = {r.shape[0] for r in rows}
+    if len(widths) != 1:
+        raise DataError(f"inconsistent node feature dimensions in graph: {sorted(widths)}")
+    return np.stack(rows)
+
+
 def side_matrices(ep: ExpandedPair, node_feat: str = "whole"):
     """Node feature matrices (probe side, gallery side), each (K+1, f), of
     an expanded pair: the target pair in row 0, then the context pairs."""
-    if node_feat == "whole":
-        feat = lambda inst: inst.embedding.parts[WHOLE]
-    elif node_feat == "allparts":
-        feat = lambda inst: inst.embedding.parts.reshape(-1)
-    else:
-        raise ConfigError(f"node_feat must be one of {NODE_FEAT_MODES}, got {node_feat!r}")
     pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
-    rows = [(feat(a), feat(b)) for a, b in pairs]
-    widths = {r.shape[0] for row in rows for r in row}
-    if len(widths) != 1:
-        raise DataError(f"inconsistent node feature dimensions in graph: {sorted(widths)}")
-    return np.stack([a for a, _ in rows]), np.stack([b for _, b in rows])
+    xa, xb = np.split(node_features([a for a, _ in pairs] + [b for _, b in pairs], node_feat), 2)
+    return xa, xb
 
 
 @dataclass(frozen=True)
@@ -77,15 +83,20 @@ class GraphSample:
     label: int  # 1 = same identity, 0 = different
 
 
-def build_graph(ep: ExpandedPair, node_feat: str = "whole", norm: str = "sym") -> ContextGraph:
+def build_graph(ep: ExpandedPair, node_feat: str = "whole", star=None) -> ContextGraph:
+    """The star graph of an expanded pair. ``star`` holds its adjacency
+    and normalized adjacency (A, Â), which graphs of one K may share; by
+    default they are built for K+1 nodes with "sym" normalization."""
     if ep.degenerate or len(ep.contexts) != ep.k:
         raise UsageError(
             f"build_graph needs exactly K={ep.k} contexts, got {len(ep.contexts)}"
             + (" (degenerate target)" if ep.degenerate else "")
         )
     x = np.concatenate(side_matrices(ep, node_feat), axis=1)
-    a = star_adjacency(len(x))
-    return ContextGraph(x=x, adjacency=a, norm_adjacency=normalize_adjacency(a, norm))
+    if star is None:
+        a = star_adjacency(len(x))
+        star = a, normalize_adjacency(a)
+    return ContextGraph(x=x, adjacency=star[0], norm_adjacency=star[1])
 
 
 @dataclass
@@ -290,7 +301,9 @@ def build_graph_samples(
     expansions = build_labeled_expansions(
         scenes, attn_scorer, k=k, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives
     )
+    a = star_adjacency(k + 1)
+    star = a, normalize_adjacency(a, norm)
     return [
-        GraphSample(graph=build_graph(ep, node_feat=node_feat, norm=norm), label=label)
+        GraphSample(graph=build_graph(ep, node_feat=node_feat, star=star), label=label)
         for ep, label in expansions
     ]

@@ -2,21 +2,24 @@
 
 A scorer exposes ``name`` and ``score_scene(probe_scene, probe,
 gallery_scene)`` yielding (instance, score) for every person in the
-gallery scene. Frozen-parameter scorers are pure, so queries can be
-processed concurrently.
+gallery scene. Scorers do not change their parameters, and a score does
+not depend on the calls made before it, so queries can be processed
+concurrently.
 """
 
 from __future__ import annotations
 
+import operator
 import zlib
 
 import numpy as np
 
-from .attention import AttentionParams, attention_weights_batch, order_pair, pair_descriptor
+from .attention import AttentionParams, attention_head, slot_projections
+from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import UsageError
-from .expansion import expand
-from .graph import GcnParams, gcn_score_batch, normalize_adjacency, side_matrices, star_adjacency
+from .expansion import member_index, scene_contexts
+from .graph import GcnParams, gcn_score_batch, node_features, normalize_adjacency, star_adjacency
 from .siamese import SiameseParams, siamese_score_batch
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
@@ -37,30 +40,69 @@ class UniformScorer:
 
 
 class AttentionScorer:
-    """Part fusion with weights predicted by the relative attention head."""
+    """Part fusion with weights predicted by the relative attention head.
+
+    The scorer keeps first-layer products of the last probe side, so its
+    parameters must not change while it is in use.
+    """
 
     name = "attention"
 
     def __init__(self, params: AttentionParams):
         self.params = params
+        # the last probe side: (persons, (n, R, d) parts, keys, (2n, hidden)
+        # first-slot then second-slot rows plus b1); replaced, never changed
+        self._probe_side = None
 
     def pair_score(self, a: Instance, b: Instance) -> float:
         return self.pair_matrix([a], [b])[0, 0]
 
     def pair_matrix(self, probe_insts, gallery_insts) -> np.ndarray:
-        """All cross-pair similarities, canonical pair order applied per pair."""
-        if not probe_insts or not gallery_insts:
-            return np.zeros((len(probe_insts), len(gallery_insts)))
-        cos = cosine_matrix(
-            [i.embedding for i in probe_insts], [i.embedding for i in gallery_insts]
-        )  # (na, nb, 4)
-        descs = []
-        for a in probe_insts:
-            for b in gallery_insts:
-                ea, eb = order_pair(a.embedding, b.embedding)
-                descs.append(pair_descriptor(ea, eb))
-        weights = attention_weights_batch(self.params, np.stack(descs))
-        weights = weights.reshape(len(probe_insts), len(gallery_insts), -1)
+        """All cross-pair similarities, canonical pair order applied per pair.
+
+        The first layer runs once per (person, slot) row, in one product
+        with ``w1`` per call, and a pair's pre-activation sums the rows of
+        its two persons. A gallery person gets rows only for the slots its
+        pairs use. The probe side's parts, keys and rows for both slots are
+        kept for the next call with the same persons (the same objects).
+        """
+        n_p, n_g = len(probe_insts), len(gallery_insts)
+        if not n_p or not n_g:
+            return np.zeros((n_p, n_g))
+        side = self._probe_side
+        if side is None or len(side[0]) != n_p or not all(map(operator.is_, side[0], probe_insts)):
+            side = None
+            probe_parts = np.array([i.embedding.parts for i in probe_insts])
+            probe_keys = [i.embedding.key() for i in probe_insts]
+        else:
+            _, probe_parts, probe_keys, probe_rows = side
+        parts = np.array([i.embedding.parts for i in gallery_insts])
+        gallery_keys = [i.embedding.key() for i in gallery_insts]
+        # order_pair: the probe takes the first slot where its key is not the larger
+        first = [[pk <= gk for gk in gallery_keys] for pk in probe_keys]
+        # a gallery person gets a row for each slot its pairs use
+        slots = [(not all(col), any(col)) for col in zip(*first)]
+        first_rows = [j for j, (f, _) in enumerate(slots) if f]
+        second_rows = [j for j, (_, s) in enumerate(slots) if s]
+        if side is None:
+            # rows: probe first slot, gallery first slot, gallery second slot, probe second slot
+            proj = slot_projections(self.params, np.concatenate([probe_parts, parts[first_rows]]),
+                                    np.concatenate([parts[second_rows], probe_parts]))
+            probe_rows = np.concatenate([proj[:n_p], proj[-n_p:]]) + self.params.b1.data.reshape(-1)
+            self._probe_side = (tuple(probe_insts), probe_parts, probe_keys, probe_rows)
+            proj = proj[n_p:-n_p]
+        else:
+            proj = slot_projections(self.params, parts[first_rows], parts[second_rows])
+        # each pair's gallery row in proj, and its probe row (person i in the
+        # first slot is row i, in the second row n_p + i)
+        in_first = {j: n for n, j in enumerate(first_rows)}
+        in_second = {j: n for n, j in enumerate(second_rows, len(first_rows))}
+        gallery_idx = [in_second[j] if f else in_first[j] for row in first for j, f in enumerate(row)]
+        probe_idx = [i if f else n_p + i for i, row in enumerate(first) for f in row]
+        pre = proj.take(gallery_idx, axis=0)
+        pre += probe_rows.take(probe_idx, axis=0)
+        weights = attention_head(self.params, Tensor(pre)).data.reshape(n_p, n_g, -1)
+        cos = np.einsum("ird,jrd->ijr", probe_parts, parts)
         return np.einsum("ijr,ijr->ij", cos, weights)
 
     def score_scene(self, probe_scene, probe, gallery_scene):
@@ -83,7 +125,7 @@ class AttentionScorer:
                 tables[key] = (
                     {i.instance_id: r for r, i in enumerate(rows)},
                     {i.instance_id: c for c, i in enumerate(cols)},
-                    self.pair_matrix(list(rows), list(cols)),
+                    self.pair_matrix(rows, cols),
                 )
             row, col, sim = tables[key]
             return sim[row[a.instance_id], col[b.instance_id]]
@@ -108,24 +150,28 @@ class _ContextScorerBase:
     def _score_targets(self, probe_scene, probe, gallery_scene, score_batch):
         """Score every gallery person. Targets with context go to
         ``score_batch(XA, XB)`` as stacked (B, K+1, f) probe-side and
-        gallery-side node features, reusing one pairwise attention-similarity
-        matrix for the scene pair; targets without context fall back to the
-        rescaled pair similarity."""
-        insts = list(gallery_scene.instances)
-        scorer = self.attn.scene_scorer((probe_scene, gallery_scene))
-        scores = np.zeros(len(insts))
-        batch_idx, batch_a, batch_b = [], [], []
-        for i, target in enumerate(insts):
-            ep = expand(probe_scene, probe, gallery_scene, target, scorer, k=self.k, seed=self.seed)
-            if ep.degenerate:
-                scores[i] = (self.attn.pair_score(probe, target) + 1.0) / 2.0
+        gallery-side node features; targets without context fall back to
+        the rescaled pair similarity. One attention-similarity matrix of
+        the scene pair serves the context choice of every target and the
+        fallback. The probe is the person of ``probe_scene`` with its id."""
+        insts = gallery_scene.instances
+        if not insts:
+            return []
+        row = member_index(probe_scene, probe, "probe")
+        table = self.attn.pair_matrix(probe_scene.instances, insts)
+        n_p = len(probe_scene.instances)
+        feats = node_features((*probe_scene.instances, *insts), self.node_feat)
+        scores = np.empty(len(insts))
+        batch, side_a, side_b = [], [], []
+        for t, chosen in enumerate(scene_contexts(table, probe_scene, row, gallery_scene, self.k, self.seed)):
+            if chosen is None:
+                scores[t] = (table[row, t] + 1.0) / 2.0
             else:
-                xa, xb = side_matrices(ep, self.node_feat)
-                batch_idx.append(i)
-                batch_a.append(xa)
-                batch_b.append(xb)
-        if batch_idx:
-            scores[batch_idx] = score_batch(np.stack(batch_a), np.stack(batch_b))
+                batch.append(t)
+                side_a.append([row] + [p for p, _ in chosen])
+                side_b.append([n_p + t] + [n_p + g for _, g in chosen])
+        if batch:
+            scores[batch] = score_batch(feats[np.array(side_a)], feats[np.array(side_b)])
         return list(zip(insts, scores))
 
 

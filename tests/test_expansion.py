@@ -1,11 +1,12 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
 from context_rerank.errors import UsageError
-from context_rerank.expansion import ContextPair, enumerate_candidates, expand, select_top_k
+from context_rerank.expansion import ContextPair, enumerate_candidates, expand, scene_contexts, select_top_k
 
 
 def make_instance(iid, scene_id, identity=None, seed=None):
@@ -21,6 +22,36 @@ def make_scene(scene_id, ids, cam="cam0"):
 
 def table_scorer(scores, default=0.0):
     return lambda p, g: scores.get((p.instance_id, g.instance_id), default)
+
+
+def greedy_oracle(cands, scores, k):
+    """The greedy rule replayed by brute force: sort by (-score, probe id,
+    gallery id), then take each pair whose ids are both unused."""
+    order = sorted(cands, key=lambda c: (-scores[(c[0].instance_id, c[1].instance_id)],
+                                         c[0].instance_id, c[1].instance_id))
+    expected = []
+    used_p, used_g = set(), set()
+    for p, g in order:
+        if len(expected) == k or p.instance_id in used_p or g.instance_id in used_g:
+            continue
+        expected.append((p.instance_id, g.instance_id))
+        used_p.add(p.instance_id)
+        used_g.add(g.instance_id)
+    return expected
+
+
+def random_scenes(rng, max_persons=5):
+    """A scene pair of 1..max_persons persons each, ids not in scene order."""
+    n_p, n_g = rng.integers(1, max_persons + 1, size=2)
+    ps = make_scene("sp", [f"p{i}" for i in rng.permutation(n_p)])
+    gs = make_scene("sg", [f"g{i}" for i in rng.permutation(n_g)])
+    return ps, gs
+
+
+def random_scores(rng, ps, gs, levels):
+    """Scores on a grid of ``levels`` values, so a coarse grid makes ties."""
+    return {(p.instance_id, g.instance_id): float(rng.integers(levels)) / levels
+            for p in ps.instances for g in gs.instances}
 
 
 class TestEnumerate:
@@ -41,6 +72,14 @@ class TestEnumerate:
         gallery_scene = make_scene("sg", ["g0"])
         with pytest.raises(UsageError):
             enumerate_candidates(probe_scene, stray, gallery_scene, gallery_scene.instances[0])
+
+    def test_membership_is_by_id(self):
+        # an equal-id person with its own embedding object is the scene's person
+        probe_scene = make_scene("sp", ["p0", "p1"])
+        gallery_scene = make_scene("sg", ["g0", "g1"])
+        twin = make_instance("p0", "sp", seed=99)
+        cands = enumerate_candidates(probe_scene, twin, gallery_scene, gallery_scene.instances[0])
+        assert [(p.instance_id, g.instance_id) for p, g in cands] == [("p1", "g1")]
 
     def test_no_candidate_contains_a_target(self):
         rng = np.random.default_rng(0)
@@ -87,32 +126,16 @@ class TestSelectTopK:
         assert len(set(gallery_ids)) == len(gallery_ids)
 
     def test_matches_exhaustive_greedy_oracle(self):
-        # brute-force replay of the greedy rule on all <=4x4 score tables
+        # all <=4x4 score tables; the coarse grid (3 levels) ties scores of
+        # pairs whose ids are not in scene order
         rng = np.random.default_rng(11)
-        for trial in range(30):
-            np_, ng = rng.integers(1, 5, size=2)
-            ps = make_scene("sp", [f"p{i}" for i in range(np_)])
-            gs = make_scene("sg", [f"g{i}" for i in range(ng)])
-            scores = {
-                (p.instance_id, g.instance_id): float(np.round(rng.random(), 3))
-                for p in ps.instances
-                for g in gs.instances
-            }
+        for levels in [1000] * 30 + [3] * 30:
+            ps, gs = random_scenes(rng, 4)
+            scores = random_scores(rng, ps, gs, levels)
             cands = list(itertools.product(ps.instances, gs.instances))
             k = int(rng.integers(1, 5))
             got = select_top_k(cands, table_scorer(scores), k)
-
-            # oracle: sort, then greedily take compatible pairs
-            order = sorted(cands, key=lambda c: (-scores[(c[0].instance_id, c[1].instance_id)], c[0].instance_id, c[1].instance_id))
-            expected = []
-            used_p, used_g = set(), set()
-            for p, g in order:
-                if len(expected) == k or p.instance_id in used_p or g.instance_id in used_g:
-                    continue
-                expected.append((p.instance_id, g.instance_id))
-                used_p.add(p.instance_id)
-                used_g.add(g.instance_id)
-            assert [(c.probe_ctx.instance_id, c.gallery_ctx.instance_id) for c in got] == expected
+            assert [(c.probe_ctx.instance_id, c.gallery_ctx.instance_id) for c in got] == greedy_oracle(cands, scores, k)
 
 
 class TestExpand:
@@ -159,3 +182,50 @@ class TestExpand:
         first = [(c.probe_ctx.instance_id, c.gallery_ctx.instance_id, c.score) for c in runs[0].contexts]
         for ep in runs[1:]:
             assert [(c.probe_ctx.instance_id, c.gallery_ctx.instance_id, c.score) for c in ep.contexts] == first
+
+
+    def test_replication_is_sorted_random_draws(self):
+        # reference: K - n seeded draws from the n chosen contexts, sorted
+        # with them by (-score, probe id, gallery id)
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            ps, gs = random_scenes(rng, 3)
+            scores = random_scores(rng, ps, gs, 3)
+            probe, target = ps.instances[0], gs.instances[0]
+            k = 5
+            ep = expand(ps, probe, gs, target, table_scorer(scores), k=k, seed=trial)
+            chosen = select_top_k(enumerate_candidates(ps, probe, gs, target), table_scorer(scores), k)
+            if not chosen:
+                assert ep.degenerate
+                continue
+            tag = f"{probe.instance_id}|{target.instance_id}".encode()
+            draws = np.random.default_rng((trial, zlib.crc32(tag))).integers(0, len(chosen), size=k - len(chosen))
+            expected = sorted(chosen + [chosen[i] for i in draws],
+                              key=lambda c: (-c.score, c.probe_ctx.instance_id, c.gallery_ctx.instance_id))
+            assert [(c.probe_ctx.instance_id, c.gallery_ctx.instance_id, c.score) for c in ep.contexts] == [
+                (c.probe_ctx.instance_id, c.gallery_ctx.instance_id, c.score) for c in expected]
+
+
+class TestSceneContexts:
+    def test_matches_expand_per_target(self):
+        # every target of a scene pair from one table, against expand with
+        # per-pair lookups: ties, ids out of scene order, replication and
+        # degenerate targets included
+        rng = np.random.default_rng(21)
+        for trial, levels in enumerate([1000] * 40 + [3] * 40):
+            ps, gs = random_scenes(rng)
+            scores = random_scores(rng, ps, gs, levels)
+            table = np.array([[scores[(p.instance_id, g.instance_id)] for g in gs.instances]
+                              for p in ps.instances])
+            row = int(rng.integers(len(ps.instances)))
+            probe = ps.instances[row]
+            k = int(rng.integers(1, 5))
+            got = scene_contexts(table, ps, row, gs, k=k, seed=trial)
+            assert len(got) == len(gs.instances)
+            for target, chosen in zip(gs.instances, got):
+                ep = expand(ps, probe, gs, target, table_scorer(scores), k=k, seed=trial)
+                if ep.degenerate:
+                    assert chosen is None
+                else:
+                    assert [(ps.instances[p].instance_id, gs.instances[g].instance_id) for p, g in chosen] == [
+                        (c.probe_ctx.instance_id, c.gallery_ctx.instance_id) for c in ep.contexts]

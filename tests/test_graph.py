@@ -316,6 +316,10 @@ class TestBuildGraphSamples:
         labels = {s.label for s in samples}
         assert labels == {0, 1}
         assert {s.graph.x.shape for s in samples} == {(3, 16)}
+        # one star A and Â for the whole set
+        a, a_hat = samples[0].graph.adjacency, samples[0].graph.norm_adjacency
+        assert all(s.graph.adjacency is a and s.graph.norm_adjacency is a_hat for s in samples)
+        assert np.array_equal(a_hat, normalize_adjacency(star_adjacency(3)))
 
     def test_checkpoint_roundtrip_of_params(self, tmp_path):
         from context_rerank.autodiff import load_checkpoint, save_checkpoint

@@ -96,6 +96,35 @@ class TestAttentionScorer:
             expected = fused_similarity(probe.embedding, inst.embedding, w)
             assert score == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("n_probe, n_gallery", [(1, 4), (4, 1), (3, 5)])
+    def test_pair_matrix_matches_descriptor_reference(self, n_probe, n_gallery):
+        params = init_attention_params(np.random.default_rng(8), 8, hidden=16)
+        probes = [make_instance(f"mp{i}", "sp") for i in range(n_probe)]
+        gallery = [make_instance(f"mg{i}", "sg") for i in range(n_gallery)]
+        # identical embeddings: the first gallery person is a copy of the last probe
+        gallery[0] = Instance("copy", "sg", (0, 0, 10, 20), None, probes[-1].embedding)
+        m = AttentionScorer(params).pair_matrix(probes, gallery)
+        assert m.shape == (n_probe, n_gallery)
+        for i, p in enumerate(probes):
+            for j, g in enumerate(gallery):
+                w = attention_weights_batch(params, pair_descriptor(*order_pair(p.embedding, g.embedding))[None])[0]
+                assert m[i, j] == pytest.approx(fused_similarity(p.embedding, g.embedding, w), abs=1e-12)
+
+    def test_probe_memo_matches_fresh_scorer(self, scene_pair):
+        # one scorer alternating two probe scenes, then a scene with the same
+        # ids as the first but other embeddings (a second dataset)
+        ps, gs = scene_pair
+        params = init_attention_params(np.random.default_rng(9), 8, hidden=16)
+        other = make_scene("so", ["o0", "o1"])
+        twin = Scene("sp", "cam0", tuple(
+            Instance(i.instance_id, "sp", i.box, i.identity, make_instance(i.instance_id + "'", "sp").embedding)
+            for i in ps.instances))
+        scorer = AttentionScorer(params)
+        for probes in (ps.instances, other.instances, ps.instances, [ps.instances[1]], twin.instances, ps.instances):
+            for gallery in (gs.instances, other.instances):
+                expected = AttentionScorer(params).pair_matrix(probes, gallery)
+                assert np.allclose(scorer.pair_matrix(probes, gallery), expected, rtol=0.0, atol=1e-12)
+
     def test_pair_matrix_shape_and_symmetry(self, scene_pair):
         ps, gs = scene_pair
         params = init_attention_params(np.random.default_rng(1), 8, hidden=6)
@@ -117,6 +146,21 @@ class TestGraphScorer:
         for inst, score in scorer.score_scene(ps, probe, gs):
             expected = reference_graph_score(attn, gcn, ps, probe, gs, inst, k=2, seed=7)
             assert score == pytest.approx(expected, abs=1e-12)
+
+    def test_one_attention_table_per_scene(self, scene_pair):
+        # the context choice and the degenerate fallback both read the one
+        # similarity table of the scene pair
+        ps, gs = scene_pair
+        rng = np.random.default_rng(5)
+        attn = init_attention_params(rng, 8, hidden=6)
+        scorer = GraphScorer(attn, init_gcn_params(rng, 3, 16, readout_dim=5), k=2, seed=0)
+        tables = []
+        pair_matrix = scorer.attn.pair_matrix
+        scorer.attn.pair_matrix = lambda a, b: tables.append((len(a), len(b))) or pair_matrix(a, b)
+        single = make_scene("s1", ["x0"])
+        scorer.score_scene(ps, ps.instances[0], gs)
+        scorer.score_scene(single, single.instances[0], gs)
+        assert tables == [(3, 3), (1, 3)]
 
     def test_degenerate_gallery_uses_fallback(self):
         ps = make_scene("sp", ["p0"])
