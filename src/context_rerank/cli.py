@@ -21,8 +21,9 @@ from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
 from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
 from .gradcheck import run_all
-from .graph import GcnParams, build_graph_samples, build_labeled_expansions, train_gcn
+from .graph import GcnParams, build_graph_samples, train_gcn
 from .scoring import (
+    SCORER_NAMES,
     AttentionScorer,
     GraphScorer,
     OracleScorer,
@@ -30,11 +31,21 @@ from .scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from .siamese import SiameseParams, samples_from_expansions, train_siamese
+from .siamese import SiameseParams, train_siamese
 
 log = logging.getLogger("context_rerank")
 
 GRADCHECK_TOL = 1e-4
+
+# The least value of each count option, by command; checked before any work.
+_LEAST = {
+    "train-attn": {"hidden": 1, "neg_ratio": 1},
+    "train-gcn": {"max_positives": 1},
+    "rerank": {"gallery_size": 1},
+    "eval": {"max_queries": 1},
+    "sweep": {"max_queries": 1},
+    "gradcheck": {"trials": 1},
+}
 
 
 def _default_data_dir() -> Path:
@@ -59,8 +70,8 @@ def _sgd_config(args) -> SgdConfig:
 
 
 def _add_scorer_flags(p):
-    p.add_argument("--scorer", choices=("uniform", "attention", "graph", "siamese", "oracle", "random"),
-                   default="graph", help="similarity used for ranking (default graph)")
+    p.add_argument("--scorer", choices=SCORER_NAMES, default="graph",
+                   help="similarity used for ranking (default graph)")
     p.add_argument("--attn", type=Path, default=None, help="attention checkpoint path")
     p.add_argument("--gcn", type=Path, default=None, help="graph (or siamese) checkpoint path")
     p.add_argument("--context-k", type=int, default=3,
@@ -218,8 +229,6 @@ def _cmd_train_attn(args) -> int:
     cfg = _sgd_config(args)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
-    if args.neg_ratio < 1:
-        raise ConfigError(f"--neg-ratio must be >= 1, got {args.neg_ratio}")
     params = train_attention(
         pairs, cfg, VerificationConfig(margin=args.margin), hidden=args.hidden, neg_ratio=args.neg_ratio
     )
@@ -234,21 +243,12 @@ def _cmd_train_gcn(args) -> int:
     attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
     cfg = _sgd_config(args)
-
-    if args.mode == "paired":
-        samples = build_graph_samples(
-            dataset.scenes, attn_pair, k=args.context_k, seed=args.seed,
-            neg_ratio=args.neg_ratio, node_feat=args.node_feat, norm=args.norm,
-            max_positives=args.max_positives,
-        )
-        params = train_gcn(samples, cfg)
-    else:
-        expansions = build_labeled_expansions(
-            dataset.scenes, attn_pair, k=args.context_k, seed=args.seed,
-            neg_ratio=args.neg_ratio, max_positives=args.max_positives,
-        )
-        samples = samples_from_expansions(expansions, node_feat=args.node_feat)
-        params = train_siamese(samples, cfg, norm=args.norm)
+    samples = build_graph_samples(
+        dataset.scenes, attn_pair, k=args.context_k, seed=args.seed, neg_ratio=args.neg_ratio,
+        node_feat=args.node_feat, max_positives=args.max_positives,
+    )
+    train = train_gcn if args.mode == "paired" else train_siamese
+    params = train(samples, cfg, norm=args.norm)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-gcn: wrote %s", args.out)
@@ -332,6 +332,10 @@ def run(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        for dest, least in _LEAST.get(args.command, {}).items():
+            value = getattr(args, dest)
+            if value is not None and value < least:
+                raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         log.error("missing file: %s", e)

@@ -58,6 +58,14 @@ class PartEmbedding:
         """Canonical byte representation, used to order pairs symmetrically."""
         return self.parts.tobytes()
 
+    def __eq__(self, other):
+        """Equal parts, equal embeddings; a generated __eq__ would compare
+        the arrays element-wise, which has no truth value."""
+        return self.key() == other.key() if isinstance(other, PartEmbedding) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.key())
+
 
 @dataclass(frozen=True)
 class Instance:

@@ -14,7 +14,7 @@ import numpy as np
 from .attention import VerificationConfig, init_attention_params, order_pair, pair_descriptor, pair_loss
 from .autodiff import Tensor, max_rel_error, numeric_gradient, relu_kink_distance
 from .embeddings import PartEmbedding, R_PARTS
-from .graph import ContextGraph, GraphSample, init_gcn_params, normalize_adjacency, sample_loss, star_adjacency
+from .graph import GraphSample, init_gcn_params, normalize_adjacency, sample_loss, star_adjacency
 from .siamese import init_siamese_params, siamese_forward
 
 FD_STEP = 1e-5
@@ -157,23 +157,16 @@ def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
         k = int(rng.integers(1, 4))
         f = 2 * int(rng.integers(2, 5))
         n = k + 1
-        adjacency = star_adjacency(n)
+        a_hat = normalize_adjacency(star_adjacency(n))
         params = init_gcn_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
         samples = [
-            GraphSample(
-                graph=ContextGraph(
-                    x=rng.uniform(-1, 1, (n, f)),
-                    adjacency=adjacency,
-                    norm_adjacency=normalize_adjacency(adjacency),
-                ),
-                label=int(rng.integers(0, 2)),
-            )
+            GraphSample(*np.split(rng.uniform(-1, 1, (n, f)), 2, axis=1), label=int(rng.integers(0, 2)))
             for _ in range(int(rng.integers(1, 5)))
         ]
-        x = Tensor(np.stack([s.graph.x for s in samples]), requires_grad=True)
+        x = Tensor(np.stack([np.hstack([s.xa, s.xb]) for s in samples]), requires_grad=True)
 
         def build():
-            return sample_loss(params, samples, x=x)
+            return sample_loss(params, a_hat, samples, x=x)
 
         return build, params.tensors() + [x]
 

@@ -79,55 +79,57 @@ class ContextGraph:
 
 @dataclass(frozen=True)
 class GraphSample:
-    graph: ContextGraph
+    """A labeled target of either graph model: its ``side_matrices``."""
+
+    xa: np.ndarray  # (K+1, f) probe-side node features, target in row 0
+    xb: np.ndarray  # (K+1, f) gallery-side node features
     label: int  # 1 = same identity, 0 = different
 
 
-def build_graph(ep: ExpandedPair, node_feat: str = "whole", star=None) -> ContextGraph:
-    """The star graph of an expanded pair. ``star`` holds its adjacency
-    and normalized adjacency (A, Â), which graphs of one K may share; by
-    default they are built for K+1 nodes with "sym" normalization."""
+def samples_from_expansions(expansions, node_feat: str = "whole"):
+    """Turn (ExpandedPair, label) tuples into GraphSamples."""
+    return [GraphSample(*side_matrices(ep, node_feat), label=label) for ep, label in expansions]
+
+
+def build_graph(ep: ExpandedPair, node_feat: str = "whole") -> ContextGraph:
+    """The star graph of an expanded pair, with "sym" normalization."""
     if ep.degenerate or len(ep.contexts) != ep.k:
         raise UsageError(
             f"build_graph needs exactly K={ep.k} contexts, got {len(ep.contexts)}"
             + (" (degenerate target)" if ep.degenerate else "")
         )
     x = np.concatenate(side_matrices(ep, node_feat), axis=1)
-    if star is None:
-        a = star_adjacency(len(x))
-        star = a, normalize_adjacency(a)
-    return ContextGraph(x=x, adjacency=star[0], norm_adjacency=star[1])
+    a = star_adjacency(len(x))
+    return ContextGraph(x=x, adjacency=a, norm_adjacency=normalize_adjacency(a))
 
 
 @dataclass
 class GcnParams(ParamSet):
     PREFIX = "gcn"
+    READOUTS = 1  # readouts the classifier sees side by side
 
     layers: list  # L Tensors, each (f, f)
     readout_w: Tensor  # (1024, N*f)
     readout_b: Tensor  # (1024, 1)
-    cls_w: Tensor  # (2, 1024)
+    cls_w: Tensor  # (2, READOUTS*1024)
     cls_b: Tensor  # (2, 1)
 
+    @classmethod
+    def init(cls, rng: np.random.Generator, n_nodes: int, feat_dim: int,
+             n_layers: int = DEFAULT_LAYERS, readout_dim: int = READOUT_DIM):
+        """Glorot weights and zero biases for graphs of ``n_nodes`` nodes
+        with ``feat_dim`` features each."""
+        return cls(
+            layers=[Tensor(glorot_uniform(rng, feat_dim, feat_dim), requires_grad=True)
+                    for _ in range(n_layers)],
+            readout_w=Tensor(glorot_uniform(rng, readout_dim, n_nodes * feat_dim), requires_grad=True),
+            readout_b=Tensor(np.zeros((readout_dim, 1)), requires_grad=True),
+            cls_w=Tensor(glorot_uniform(rng, 2, cls.READOUTS * readout_dim), requires_grad=True),
+            cls_b=Tensor(np.zeros((2, 1)), requires_grad=True),
+        )
 
-def init_gcn_params(
-    rng: np.random.Generator,
-    n_nodes: int,
-    feat_dim: int,
-    n_layers: int = DEFAULT_LAYERS,
-    readout_dim: int = READOUT_DIM,
-) -> GcnParams:
-    layers = [
-        Tensor(glorot_uniform(rng, feat_dim, feat_dim), requires_grad=True) for _ in range(n_layers)
-    ]
-    flat = n_nodes * feat_dim
-    return GcnParams(
-        layers=layers,
-        readout_w=Tensor(glorot_uniform(rng, readout_dim, flat), requires_grad=True),
-        readout_b=Tensor(np.zeros((readout_dim, 1)), requires_grad=True),
-        cls_w=Tensor(glorot_uniform(rng, 2, readout_dim), requires_grad=True),
-        cls_b=Tensor(np.zeros((2, 1)), requires_grad=True),
-    )
+
+init_gcn_params = GcnParams.init
 
 
 def graph_readout(params, a_hat: np.ndarray, x: Tensor, activation: str = "relu") -> Tensor:
@@ -179,37 +181,41 @@ def gcn_score_batch(params: GcnParams, a_hat: np.ndarray, xs: np.ndarray) -> np.
     return gcn_logits(params, a_hat, Tensor(xs)).softmax().data[:, 1]
 
 
-def sample_loss(params: GcnParams, samples, x: Tensor = None) -> Tensor:
-    """Mean cross-entropy of a minibatch of graph samples sharing one adjacency.
-
-    ``x`` may replace the stacked (B, N, f) node features, e.g. with a
-    requires_grad leaf for gradient checks.
-    """
+def sample_loss(params: GcnParams, a_hat: np.ndarray, samples, x: Tensor = None) -> Tensor:
+    """Mean cross-entropy of the paired GCN on a minibatch of samples, whose
+    two sides it reads next to each other as (B, N, 2f) node features. ``x``
+    may replace those, e.g. with a requires_grad leaf for gradient checks."""
     if x is None:
-        x = Tensor(np.stack([s.graph.x for s in samples]))
-    logits = gcn_logits(params, samples[0].graph.norm_adjacency, x)
-    return logits.cross_entropy_binary([s.label for s in samples])
+        x = Tensor(np.concatenate([[s.xa for s in samples], [s.xb for s in samples]], axis=2))
+    return gcn_logits(params, a_hat, x).cross_entropy_binary([s.label for s in samples])
 
 
-def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
-    """Binary cross-entropy training over graph samples; deterministic per seed."""
+def fit_graph_model(samples, cfg: SgdConfig, norm: str, init, batch_loss, epoch_losses=None):
+    """Check the GraphSamples (both labels, one side shape (N, f)), then fit
+    ``init(rng, N, f)`` on ``batch_loss(params, a_hat, batch)`` with the
+    star Â of N nodes under ``norm``; deterministic per seed. The epoch log
+    lines start with the parameters' PREFIX."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
     if labels != {0, 1}:
         raise DataError(f"training needs both labels, got {sorted(labels)}")
-    shapes = {s.graph.x.shape for s in samples}
+    shapes = {x.shape for s in samples for x in (s.xa, s.xb)}
     if len(shapes) != 1:
         raise DataError(f"all graph samples must share K; found node shapes {sorted(shapes)}")
-    a_hat = samples[0].graph.norm_adjacency
-    if any(not np.array_equal(s.graph.norm_adjacency, a_hat) for s in samples):
-        raise DataError("all graph samples must share one normalized adjacency")
-    n, f = samples[0].graph.x.shape
+    n, f = samples[0].xa.shape
+    a_hat = normalize_adjacency(star_adjacency(n), norm)
     rng = np.random.default_rng(cfg.seed)
-    params = init_gcn_params(rng, n, f)
-    fit(params.tensors(), cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, batch),
-        "gcn epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
+    params = init(rng, n, f)
+    fit(params.tensors(), cfg, rng, lambda rng: samples, lambda batch: batch_loss(params, a_hat, batch),
+        params.PREFIX + " epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
     return params
+
+
+def train_gcn(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list = None) -> GcnParams:
+    """Binary cross-entropy training of the paired GCN over GraphSamples."""
+    return fit_graph_model(samples, cfg, norm, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), sample_loss,
+                           epoch_losses)
 
 
 def build_labeled_expansions(
@@ -294,16 +300,10 @@ def build_graph_samples(
     seed: int = 0,
     neg_ratio: float = 1.0,
     node_feat: str = "whole",
-    norm: str = "sym",
     max_positives: int = None,
 ):
-    """Graph training set built from the labeled expansions."""
+    """The training set of either graph model, built from the labeled expansions."""
     expansions = build_labeled_expansions(
         scenes, attn_scorer, k=k, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives
     )
-    a = star_adjacency(k + 1)
-    star = a, normalize_adjacency(a, norm)
-    return [
-        GraphSample(graph=build_graph(ep, node_feat=node_feat, star=star), label=label)
-        for ep, label in expansions
-    ]
+    return samples_from_expansions(expansions, node_feat=node_feat)

@@ -69,6 +69,18 @@ class TestTraining:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("mode", ["paired", "siamese"])
+    def test_norm_changes_the_checkpoint(self, workspace, tmp_path, mode):
+        ckpts = {}
+        for norm in ("sym", "row"):
+            ckpts[norm] = tmp_path / f"{norm}.ckpt"
+            assert run(
+                ["train-gcn", "--data", str(workspace["data"]), "--attn", str(workspace["attn"]),
+                 "--out", str(ckpts[norm]), "--mode", mode, "--norm", norm, "--context-k", "2",
+                 "--lr", "0.1", "--epochs", "1", "--batch-size", "16", "--seed", "5"]
+            ) == 0
+        assert ckpts["sym"].read_bytes() != ckpts["row"].read_bytes()
+
     def test_missing_data_file_exits_3(self, tmp_path):
         code = run(["train-attn", "--data", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "o.ckpt")] + TRAIN_ARGS)
@@ -183,6 +195,29 @@ class TestEvalAndRerank:
         code = run(["sweep", "--data", str(workspace["data"]), "--scorer", "uniform",
                     "--sizes", "a,b"])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-attn", "--hidden", "0"],
+    ["train-attn", "--neg-ratio", "0"],
+    ["train-gcn", "--max-positives", "-1"],
+    ["train-gcn", "--max-positives", "0"],
+    ["eval", "--max-queries", "-1"],
+    ["sweep", "--max-queries", "-1"],
+    ["rerank", "--probe", "p", "--gallery-size", "-1"],
+    ["gradcheck", "--trials", "0"],
+], ids="_".join)
+def test_out_of_range_count_exits_2_before_any_work(tmp_path, caplog, argv):
+    # a missing dataset would exit 3, so exit 2 shows the check came first
+    command, flag, value = argv[0], argv[-2], argv[-1]
+    out = tmp_path / "out"
+    paths = {"--data": tmp_path / "missing.jsonl", "--out": out, "--attn": tmp_path / "missing.ckpt"}
+    required = {"train-attn": ["--data", "--out"], "train-gcn": ["--data", "--attn", "--out"],
+                "eval": ["--data"], "sweep": ["--data"], "rerank": ["--data"], "gradcheck": []}[command]
+    argv = argv + [a for f in required for a in (f, str(paths[f]))]
+    assert run(argv) == 2
+    assert f"{flag} must be >= 1, got {value}" in caplog.text
+    assert not out.exists()
 
 
 class TestGradcheckCommand:

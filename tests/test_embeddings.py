@@ -137,6 +137,17 @@ def test_instance_and_scene_validation():
     Scene("s1", "cam0", (inst,))
 
 
+def test_equality_and_hash_follow_the_parts():
+    a, b = make_embedding(3), make_embedding(3)
+    other = make_embedding(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+    inst, copy = (Instance("i1", "s1", (0, 0, 5, 10), 1, e) for e in (a, b))
+    assert inst == copy and inst in [copy] and len({inst, copy}) == 1
+    assert inst != Instance("i1", "s1", (0, 0, 5, 10), 1, other)
+    assert {Scene("s1", "cam0", (inst,)), Scene("s1", "cam0", (copy,))} == {Scene("s1", "cam0", (inst,))}
+
+
 def test_labeled_pairs_order():
     # persons sorted by id; identities in order of their first person; pairs
     # (a, b) with a before b, same-scene and unlabeled persons left out

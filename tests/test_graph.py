@@ -15,6 +15,7 @@ from context_rerank.graph import (
     build_graph,
     build_graph_samples,
     gcn_forward,
+    gcn_logits,
     gcn_score_batch,
     init_gcn_params,
     normalize_adjacency,
@@ -24,6 +25,7 @@ from context_rerank.graph import (
     train_gcn,
 )
 from context_rerank.scoring import GraphScorer
+from context_rerank.siamese import train_siamese
 
 
 def make_instance(iid, scene_id, identity=None, d=8, seed=None):
@@ -40,13 +42,18 @@ def make_scene(scene_id, ids, cam="cam0", identities=None):
     )
 
 
-def random_graph(rng, n, f, norm="sym"):
+def random_graph(rng, n, f):
     a = star_adjacency(n)
     return ContextGraph(
         x=rng.standard_normal((n, f)),
         adjacency=a,
-        norm_adjacency=normalize_adjacency(a, norm),
+        norm_adjacency=normalize_adjacency(a),
     )
+
+
+def random_sample(rng, n, f, label):
+    """A GraphSample with (n, f) random sides."""
+    return GraphSample(rng.standard_normal((n, f)), rng.standard_normal((n, f)), label)
 
 
 class TestStarAdjacency:
@@ -192,35 +199,49 @@ class TestGcnForward:
 
     def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self):
         rng = np.random.default_rng(7)
-        n, f = 4, 6
-        params = init_gcn_params(rng, n, f, readout_dim=9)
-        samples = [GraphSample(random_graph(rng, n, f), i % 2) for i in range(5)]
+        n, f = 4, 3
+        params = init_gcn_params(rng, n, 2 * f, readout_dim=9)
+        a_hat = normalize_adjacency(star_adjacency(n))
+        samples = [random_sample(rng, n, f, i % 2) for i in range(5)]
         singles, grads = [], []
         for s in samples:
-            loss = sample_loss(params, [s])
+            loss = sample_loss(params, a_hat, [s])
             loss.backward()
             singles.append(loss.item())
             grads.append([t.grad.copy() for t in params.tensors()])
             for t in params.tensors():
                 t.grad = None
-        loss = sample_loss(params, samples)
+        loss = sample_loss(params, a_hat, samples)
         loss.backward()
         assert loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
         for i, t in enumerate(params.tensors()):
             assert np.allclose(t.grad, np.mean([g[i] for g in grads], axis=0), atol=1e-12)
 
+    def test_sample_loss_reads_the_sides_next_to_each_other(self):
+        rng = np.random.default_rng(16)
+        n, f = 3, 2
+        params = init_gcn_params(rng, n, 2 * f, readout_dim=4)
+        a_hat = normalize_adjacency(star_adjacency(n))
+        samples = [random_sample(rng, n, f, i % 2) for i in range(3)]
+        x = np.stack([np.concatenate([s.xa, s.xb], axis=1) for s in samples])
+        expected = gcn_logits(params, a_hat, Tensor(x)).cross_entropy_binary([s.label for s in samples])
+        assert sample_loss(params, a_hat, samples).item() == expected.item()
+
+
+# both trainers take GraphSamples and check them alike
+TRAINERS = (train_gcn, train_siamese)
+
 
 class TestTraining:
-    def _samples(self, rng, n=4, f=6, count=24):
+    def _samples(self, rng, n=4, f=3, count=24):
         samples = []
         for i in range(count):
             label = i % 2
-            graph = random_graph(rng, n, f)
-            # separable toy signal: positives get a positive-mean row 0
-            x = graph.x.copy()
-            x[0] += 2.0 if label else -2.0
-            graph = ContextGraph(x=x, adjacency=graph.adjacency, norm_adjacency=graph.norm_adjacency)
-            samples.append(GraphSample(graph=graph, label=label))
+            s = random_sample(rng, n, f, label)
+            # separable toy signal: positives get a positive-mean target row
+            s.xa[0] += 2.0 if label else -2.0
+            s.xb[0] += 2.0 if label else -2.0
+            samples.append(s)
         return samples
 
     def test_loss_decreases_on_separable_data(self):
@@ -242,28 +263,22 @@ class TestTraining:
 
     def test_rejects_single_label(self):
         rng = np.random.default_rng(10)
-        samples = [GraphSample(random_graph(rng, 3, 4), 1) for _ in range(4)]
-        with pytest.raises(DataError):
-            train_gcn(samples, SgdConfig(epochs=1))
+        samples = [random_sample(rng, 3, 2, 1) for _ in range(4)]
+        for train in TRAINERS:
+            with pytest.raises(DataError, match="both labels"):
+                train(samples, SgdConfig(epochs=1))
 
     def test_rejects_mixed_k(self):
         rng = np.random.default_rng(11)
-        samples = [
-            GraphSample(random_graph(rng, 3, 4), 1),
-            GraphSample(random_graph(rng, 4, 4), 0),
-        ]
-        with pytest.raises(DataError):
-            train_gcn(samples, SgdConfig(epochs=1))
+        samples = [random_sample(rng, 3, 2, 1), random_sample(rng, 4, 2, 0)]
+        for train in TRAINERS:
+            with pytest.raises(DataError, match="share K"):
+                train(samples, SgdConfig(epochs=1))
 
     def test_rejects_empty(self):
-        with pytest.raises(DataError):
-            train_gcn([], SgdConfig(epochs=1))
-
-    def test_rejects_mixed_normalization(self):
-        rng = np.random.default_rng(15)
-        samples = [GraphSample(random_graph(rng, 3, 4, "sym"), 1), GraphSample(random_graph(rng, 3, 4, "row"), 0)]
-        with pytest.raises(DataError, match="adjacency"):
-            train_gcn(samples, SgdConfig(epochs=1))
+        for train in TRAINERS:
+            with pytest.raises(DataError, match="no graph samples"):
+                train([], SgdConfig(epochs=1))
 
 
 class TestGraphScore:
@@ -315,11 +330,7 @@ class TestBuildGraphSamples:
         samples = build_graph_samples(self._scenes(), scorer, k=2, seed=0, neg_ratio=1.0)
         labels = {s.label for s in samples}
         assert labels == {0, 1}
-        assert {s.graph.x.shape for s in samples} == {(3, 16)}
-        # one star A and Â for the whole set
-        a, a_hat = samples[0].graph.adjacency, samples[0].graph.norm_adjacency
-        assert all(s.graph.adjacency is a and s.graph.norm_adjacency is a_hat for s in samples)
-        assert np.array_equal(a_hat, normalize_adjacency(star_adjacency(3)))
+        assert {x.shape for s in samples for x in (s.xa, s.xb)} == {(3, 8)}
 
     def test_checkpoint_roundtrip_of_params(self, tmp_path):
         from context_rerank.autodiff import load_checkpoint, save_checkpoint

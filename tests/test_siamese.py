@@ -3,14 +3,13 @@ import pytest
 
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
-from context_rerank.errors import ConfigError, DataError
+from context_rerank.errors import ConfigError
 from context_rerank.expansion import expand
 from context_rerank.attention import init_attention_params
-from context_rerank.graph import normalize_adjacency, side_matrices, star_adjacency
+from context_rerank.graph import GraphSample, init_gcn_params, normalize_adjacency, side_matrices, star_adjacency
 from context_rerank.scoring import SiameseScorer
 from context_rerank.siamese import (
     SiameseParams,
-    SiameseSample,
     init_siamese_params,
     samples_from_expansions,
     siamese_forward,
@@ -150,7 +149,7 @@ class TestTraining:
             xa, xb = random_sides(rng, n, f)
             if label:
                 xb = xa + 0.05 * rng.standard_normal((n, f))
-            out.append(SiameseSample(xa=xa, xb=xb, label=label))
+            out.append(GraphSample(xa=xa, xb=xb, label=label))
         return out
 
     def test_loss_decreases(self):
@@ -163,12 +162,6 @@ class TestTraining:
             epoch_losses=losses,
         )
         assert losses[-1] < losses[0]
-
-    def test_rejects_single_label(self):
-        rng = np.random.default_rng(4)
-        samples = [SiameseSample(*random_sides(rng, 3, 4), label=1) for _ in range(4)]
-        with pytest.raises(DataError):
-            train_siamese(samples, SgdConfig(epochs=1))
 
 
 class TestGraphScore:
@@ -196,4 +189,14 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(path, params.to_entries())
     restored = SiameseParams.from_entries(load_checkpoint(path))
     for a, b in zip(params.tensors(), restored.tensors()):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_params_differ_from_the_gcn_only_in_prefix_and_classifier_fan_in():
+    siam = init_siamese_params(np.random.default_rng(8), 3, 5, readout_dim=4)
+    gcn = init_gcn_params(np.random.default_rng(8), 3, 5, readout_dim=4)
+    names = ["layer0", "layer1", "layer2", "readout_w", "readout_b", "cls_w", "cls_b"]
+    assert list(siam.to_entries()) == [f"siamese/{n}" for n in names]
+    assert siam.cls_w.shape == (2, 8) and gcn.cls_w.shape == (2, 4)
+    for a, b in zip(siam.tensors()[:5], gcn.tensors()[:5]):
         assert np.array_equal(a.data, b.data)
