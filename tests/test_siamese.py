@@ -3,7 +3,7 @@ import pytest
 
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
 from context_rerank.embeddings import Instance, PartEmbedding, Scene
-from context_rerank.errors import ConfigError
+from context_rerank.errors import ConfigError, DataError
 from context_rerank.expansion import expand
 from context_rerank.attention import init_attention_params
 from context_rerank.graph import GraphSample, init_gcn_params, normalize_adjacency, side_matrices, star_adjacency
@@ -162,6 +162,12 @@ class TestTraining:
             epoch_losses=losses,
         )
         assert losses[-1] < losses[0]
+
+    def test_rejects_single_label(self):
+        rng = np.random.default_rng(4)
+        samples = [GraphSample(*random_sides(rng, 3, 4), label=1) for _ in range(4)]
+        with pytest.raises(DataError, match="both labels"):
+            train_siamese(samples, SgdConfig(epochs=1))
 
 
 class TestGraphScore:
