@@ -199,6 +199,5 @@ def train_attention(
     def batch_loss(batch):
         return pair_loss(params, [(a.embedding, b.embedding, y) for a, b, y in batch], vcfg)
 
-    fit(params.tensors(), cfg, rng, draw, batch_loss,
-        "attention epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
+    fit(params, cfg, rng, draw, batch_loss, epoch_losses)
     return params

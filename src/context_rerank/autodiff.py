@@ -271,25 +271,24 @@ class Tensor:
 
     # -- backward -------------------------------------------------------
 
-    def backward(self):
-        if self.data.size != 1:
-            raise UsageError("backward() requires a scalar loss")
-        order = []
-        seen = set()
-        stack = [(self, False)]
+    def _tape(self) -> list:
+        """This node and every node it depends on, each after its parents."""
+        order, seen, stack = [], set(), [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                stack.append((p, False))
+            elif id(node) not in seen:
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents)
+        return order
+
+    def backward(self):
+        if self.data.size != 1:
+            raise UsageError("backward() requires a scalar loss")
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(order):
+        for node in reversed(self._tape()):
             if node._backward is not None:
                 node._backward(node.grad)
 
@@ -300,18 +299,8 @@ def relu_kink_distance(loss: Tensor) -> float:
     Finite-difference checks are unreliable when a ReLU input sits within h
     of zero; callers resample such configurations.
     """
-    best = np.inf
-    seen = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._kink is not None and node._kink.size:
-            best = min(best, float(np.min(np.abs(node._kink))))
-        stack.extend(node._parents)
-    return best
+    kinks = [np.min(np.abs(n._kink)) for n in loss._tape() if n._kink is not None and n._kink.size]
+    return float(min(kinks, default=np.inf))
 
 
 # -- optimizer ----------------------------------------------------------
@@ -332,8 +321,8 @@ class SgdConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -359,16 +348,19 @@ def sgd_step(params, lr: float):
         p.grad = None
 
 
-def fit(params, cfg: SgdConfig, rng: np.random.Generator, draw, batch_loss, message: str,
+def fit(params: ParamSet, cfg: SgdConfig, rng: np.random.Generator, draw, batch_loss,
         epoch_losses: list = None):
     """Minibatch SGD, shared by every trainer.
 
     Each epoch takes its samples from ``draw(rng)``, shuffles them with
-    ``rng`` and makes one ``sgd_step`` on ``params`` per ``cfg.batch_size``
-    slice, on the mean loss Tensor that ``batch_loss(batch)`` builds.
-    ``message`` is the log format of the epoch line; it receives the epoch,
-    the epoch count, the learning rate and the mean loss over the epoch.
+    ``rng`` and makes one ``sgd_step`` on the tensors of ``params`` per
+    ``cfg.batch_size`` slice, on the mean loss Tensor that
+    ``batch_loss(batch)`` builds. The epoch line logs the epoch, the epoch
+    count, the learning rate and the mean loss over the epoch, after the
+    parameters' PREFIX.
     """
+    tensors = params.tensors()
+    message = params.PREFIX + " epoch %d/%d lr=%.4g mean_loss=%.6f"
     for epoch in range(1, cfg.epochs + 1):
         lr = cfg.lr_at_epoch(epoch)
         samples = draw(rng)
@@ -378,7 +370,7 @@ def fit(params, cfg: SgdConfig, rng: np.random.Generator, draw, batch_loss, mess
             batch = [samples[i] for i in order[start : start + cfg.batch_size]]
             loss = batch_loss(batch)
             loss.backward()
-            sgd_step(params, lr)
+            sgd_step(tensors, lr)
             total += loss.item() * len(batch)
         mean_loss = total / len(order)
         if epoch_losses is not None:

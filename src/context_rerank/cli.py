@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -20,8 +21,9 @@ from .attention import AttentionParams, VerificationConfig, build_training_pairs
 from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
 from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
+from .expansion import DEFAULT_K
 from .gradcheck import run_all
-from .graph import GcnParams, build_graph_samples, train_gcn
+from .graph import NODE_FEAT_MODES, NORM_MODES, GcnParams, build_graph_samples, train_gcn
 from .scoring import (
     SCORER_NAMES,
     AttentionScorer,
@@ -37,14 +39,31 @@ log = logging.getLogger("context_rerank")
 
 GRADCHECK_TOL = 1e-4
 
-# The least value of each count option, by command; checked before any work.
+# The least value of each integer option, by command; checked before any work.
 _LEAST = {
-    "train-attn": {"hidden": 1, "neg_ratio": 1},
-    "train-gcn": {"max_positives": 1},
-    "rerank": {"gallery_size": 1},
-    "eval": {"max_queries": 1},
-    "sweep": {"max_queries": 1},
-    "gradcheck": {"trials": 1},
+    "gen": {"seed": 0},
+    "train-attn": {"hidden": 1, "neg_ratio": 1, "seed": 0},
+    "train-gcn": {"max_positives": 1, "seed": 0},
+    "rerank": {"gallery_size": 1, "seed": 0},
+    "eval": {"max_queries": 1, "seed": 0},
+    "sweep": {"max_queries": 1, "seed": 0},
+    "gradcheck": {"trials": 1, "seed": 0},
+}
+
+# gen's flags after --out, each with its SynthConfig field and help text
+_GEN_FLAGS = {
+    "--identities": ("num_identities", None),
+    "--cameras": ("num_cameras", None),
+    "--scenes-per-camera": ("scenes_per_camera", None),
+    "--instances-per-scene": ("instances_per_scene", None),
+    "--group-size-mean": ("group_size_mean", None),
+    "--co-travel-prob": ("co_travel_prob", None),
+    "--noise-sigma": ("view_noise_sigma", None),
+    "--part-dropout": ("part_dropout_prob", None),
+    "--dim": ("dim", None),
+    "--lookalike-group": ("lookalike_group", "identities per lookalike appearance cluster"),
+    "--lookalike-overlap": ("lookalike_overlap", "appearance overlap within a lookalike cluster, in [0,1]"),
+    "--seed": ("seed", None),
 }
 
 
@@ -52,11 +71,9 @@ def _default_data_dir() -> Path:
     return Path(os.environ.get("CONTEXT_RERANK_DATA_DIR", "."))
 
 
-def _add_sgd_flags(p, default_lr=0.1, default_epochs=20):
-    p.add_argument("--lr", type=float, default=default_lr,
-                   help=f"initial learning rate (default {default_lr})")
-    p.add_argument("--epochs", type=int, default=default_epochs,
-                   help=f"training epochs (default {default_epochs})")
+def _add_sgd_flags(p):
+    p.add_argument("--lr", type=float, default=0.1, help="initial learning rate (default 0.1)")
+    p.add_argument("--epochs", type=int, default=20, help="training epochs (default 20)")
     p.add_argument("--lr-drop-epoch", type=int, default=10,
                    help="epoch after which the learning rate is halved (default 10; 0 disables)")
     p.add_argument("--batch-size", type=int, default=32, help="mini-batch size (default 32)")
@@ -69,17 +86,21 @@ def _sgd_config(args) -> SgdConfig:
                      batch_size=args.batch_size, schedule=schedule)
 
 
+def _add_graph_flags(p):
+    p.add_argument("--context-k", type=int, default=DEFAULT_K,
+                   help=f"context pairs per target (default {DEFAULT_K})")
+    p.add_argument("--norm", choices=NORM_MODES, default=NORM_MODES[0],
+                   help=f"adjacency normalization (default {NORM_MODES[0]})")
+    p.add_argument("--node-feat", choices=NODE_FEAT_MODES, default=NODE_FEAT_MODES[0],
+                   help=f"node feature layout (default {NODE_FEAT_MODES[0]})")
+
+
 def _add_scorer_flags(p):
     p.add_argument("--scorer", choices=SCORER_NAMES, default="graph",
                    help="similarity used for ranking (default graph)")
     p.add_argument("--attn", type=Path, default=None, help="attention checkpoint path")
     p.add_argument("--gcn", type=Path, default=None, help="graph (or siamese) checkpoint path")
-    p.add_argument("--context-k", type=int, default=3,
-                   help="context pairs per target (default 3)")
-    p.add_argument("--norm", choices=("sym", "row"), default="sym",
-                   help="adjacency normalization (default sym)")
-    p.add_argument("--node-feat", choices=("whole", "allparts"), default="whole",
-                   help="node feature layout (default whole)")
+    _add_graph_flags(p)
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
 
@@ -93,20 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen_defaults = dataio.SynthConfig()
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, default=None, help="output dataset file")
-    p.add_argument("--identities", type=int, default=gen_defaults.num_identities)
-    p.add_argument("--cameras", type=int, default=gen_defaults.num_cameras)
-    p.add_argument("--scenes-per-camera", type=int, default=gen_defaults.scenes_per_camera)
-    p.add_argument("--instances-per-scene", type=int, default=gen_defaults.instances_per_scene)
-    p.add_argument("--group-size-mean", type=float, default=gen_defaults.group_size_mean)
-    p.add_argument("--co-travel-prob", type=float, default=gen_defaults.co_travel_prob)
-    p.add_argument("--noise-sigma", type=float, default=gen_defaults.view_noise_sigma)
-    p.add_argument("--part-dropout", type=float, default=gen_defaults.part_dropout_prob)
-    p.add_argument("--dim", type=int, default=gen_defaults.dim)
-    p.add_argument("--lookalike-group", type=int, default=gen_defaults.lookalike_group,
-                   help="identities per lookalike appearance cluster")
-    p.add_argument("--lookalike-overlap", type=float, default=gen_defaults.lookalike_overlap,
-                   help="appearance overlap within a lookalike cluster, in [0,1]")
-    p.add_argument("--seed", type=int, default=gen_defaults.seed)
+    for flag, (name, help_text) in _GEN_FLAGS.items():
+        default = getattr(gen_defaults, name)
+        p.add_argument(flag, type=type(default), default=default, help=help_text)
 
     p = sub.add_parser("train-attn", help="train the relative attention head")
     p.add_argument("--data", type=Path, required=True)
@@ -123,9 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="graph checkpoint output")
     p.add_argument("--mode", choices=("paired", "siamese"), default="paired",
                    help="paired-node graph (default) or two-graph siamese baseline")
-    p.add_argument("--context-k", type=int, default=3)
-    p.add_argument("--norm", choices=("sym", "row"), default="sym")
-    p.add_argument("--node-feat", choices=("whole", "allparts"), default="whole")
+    _add_graph_flags(p)
     p.add_argument("--max-positives", type=int, default=None,
                    help="cap on positive target pairs (default: all)")
     p.add_argument("--neg-ratio", type=float, default=1.0,
@@ -161,10 +169,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_params(cls, path, flag):
+    """The ``cls`` parameters in the checkpoint that ``flag`` names; a
+    checkpoint of another model kind is a usage error."""
+    entries = load_checkpoint(path)
+    found = sorted({name.partition("/")[0] for name in entries})
+    if cls.PREFIX not in found:
+        raise ConfigError(f"{flag} {path} is not a {cls.PREFIX} checkpoint: its entry prefixes are {found}")
+    return cls.from_entries(entries)
+
+
 def _load_attention(path, dataset) -> AttentionParams:
     if path is None:
         raise UsageError("this scorer needs --attn (trained attention checkpoint)")
-    attn = AttentionParams.from_entries(load_checkpoint(path))
+    attn = _load_params(AttentionParams, path, "--attn")
     if attn.dim != dataset.d:
         raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
     return attn
@@ -182,11 +200,10 @@ def _make_scorer(args, dataset):
         return AttentionScorer(attn)
     if args.gcn is None:
         raise UsageError(f"scorer {args.scorer!r} needs --gcn (trained graph checkpoint)")
-    entries = load_checkpoint(args.gcn)
     kw = dict(k=args.context_k, seed=args.seed, node_feat=args.node_feat, norm=args.norm)
     if args.scorer == "graph":
-        return GraphScorer(attn, GcnParams.from_entries(entries), **kw)
-    return SiameseScorer(attn, SiameseParams.from_entries(entries), **kw)
+        return GraphScorer(attn, _load_params(GcnParams, args.gcn, "--gcn"), **kw)
+    return SiameseScorer(attn, _load_params(SiameseParams, args.gcn, "--gcn"), **kw)
 
 
 def _write_or_print(text: str, out: Path):
@@ -197,20 +214,8 @@ def _write_or_print(text: str, out: Path):
 
 
 def _cmd_gen(args) -> int:
-    cfg = dataio.SynthConfig(
-        num_identities=args.identities,
-        num_cameras=args.cameras,
-        scenes_per_camera=args.scenes_per_camera,
-        instances_per_scene=args.instances_per_scene,
-        group_size_mean=args.group_size_mean,
-        co_travel_prob=args.co_travel_prob,
-        view_noise_sigma=args.noise_sigma,
-        part_dropout_prob=args.part_dropout,
-        seed=args.seed,
-        dim=args.dim,
-        lookalike_group=args.lookalike_group,
-        lookalike_overlap=args.lookalike_overlap,
-    )
+    cfg = dataio.SynthConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
+                                for flag, (name, _) in _GEN_FLAGS.items()})
     dataset = dataio.generate_synthetic(cfg)
     out = args.out or (_default_data_dir() / "synth.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -225,8 +230,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_attn(args) -> int:
-    dataset = dataio.load_dataset(args.data)
     cfg = _sgd_config(args)
+    dataset = dataio.load_dataset(args.data)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
     params = train_attention(
@@ -239,10 +244,12 @@ def _cmd_train_attn(args) -> int:
 
 
 def _cmd_train_gcn(args) -> int:
+    if not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
+        raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
+    cfg = _sgd_config(args)
     dataset = dataio.load_dataset(args.data)
     attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
-    cfg = _sgd_config(args)
     samples = build_graph_samples(
         dataset.scenes, attn_pair, k=args.context_k, seed=args.seed, neg_ratio=args.neg_ratio,
         node_feat=args.node_feat, max_positives=args.max_positives,

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import Instance, PartEmbedding, R_PARTS, Scene
+from .embeddings import Instance, PartEmbedding, R_PARTS, Scene, labeled_pairs
 from .errors import ConfigError, DataError
 
 FORMAT_VERSION = 1
@@ -38,10 +38,6 @@ class DatasetManifest:
 class Dataset:
     d: int
     scenes: tuple
-
-    @property
-    def manifest(self) -> DatasetManifest:
-        return DatasetManifest(FORMAT_VERSION, self.d)
 
 
 def _encode_parts(parts: np.ndarray) -> str:
@@ -187,6 +183,9 @@ class SynthConfig:
     lookalike_overlap: float = 0.97
 
     def __post_init__(self):
+        for name, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         for name in ("num_identities", "num_cameras", "scenes_per_camera", "instances_per_scene"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -299,41 +298,24 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
 
 def validate(dataset: Dataset) -> dict:
-    """Report-only structural statistics and warnings."""
-    identities = set()
-    n_instances = 0
-    singleton_scenes = 0
-    scenes_by_identity = {}
-    for s in dataset.scenes:
-        if len(s.instances) == 1:
-            singleton_scenes += 1
-        for i in s.instances:
-            n_instances += 1
-            if i.identity is not None:
-                identities.add(i.identity)
-                scenes_by_identity.setdefault(i.identity, []).append(s)
-
-    cross_camera_positive_pairs = 0
-    graph_trainable_pairs = 0
-    for ident, scene_list in scenes_by_identity.items():
-        for i in range(len(scene_list)):
-            for j in range(i + 1, len(scene_list)):
-                a, b = scene_list[i], scene_list[j]
-                if a.scene_id == b.scene_id:
-                    continue
-                if a.camera_id != b.camera_id:
-                    cross_camera_positive_pairs += 1
-                if len(a.instances) > 1 and len(b.instances) > 1:
-                    graph_trainable_pairs += 1
+    """Report-only structural statistics and warnings; the positive pairs
+    are those of ``labeled_pairs``."""
+    labeled, pairs = labeled_pairs(dataset.scenes)
+    scene_of = {s.scene_id: s for s in dataset.scenes}
+    cross_camera_positive_pairs = graph_trainable_pairs = 0
+    for a, b in pairs:
+        sa, sb = scene_of[a.scene_id], scene_of[b.scene_id]
+        cross_camera_positive_pairs += sa.camera_id != sb.camera_id
+        graph_trainable_pairs += len(sa.instances) > 1 and len(sb.instances) > 1
 
     warnings = []
     if graph_trainable_pairs == 0:
         warnings.append("zero graph-trainable pairs: every positive pair involves a singleton scene")
     return {
         "num_scenes": len(dataset.scenes),
-        "num_instances": n_instances,
-        "num_identities": len(identities),
-        "singleton_scenes": singleton_scenes,
+        "num_instances": sum(len(s.instances) for s in dataset.scenes),
+        "num_identities": len({i.identity for i in labeled}),
+        "singleton_scenes": sum(len(s.instances) == 1 for s in dataset.scenes),
         "cross_camera_positive_pairs": cross_camera_positive_pairs,
         "graph_trainable_pairs": graph_trainable_pairs,
         "warnings": warnings,

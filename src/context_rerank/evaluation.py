@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import io
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import Instance, Scene
+from .embeddings import Instance, Scene, labeled_pairs
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -81,23 +81,15 @@ def rank_gallery(query: Instance, gallery_scenes, scorer, probe_scene: Scene) ->
 
 
 def select_queries(scenes, max_queries: int = None, seed: int = 0):
-    """Labeled instances with at least one cross-scene same-identity match.
+    """Labeled instances in some cross-scene same-identity pair of
+    ``labeled_pairs``.
 
     Returns (probe_scene, instance) tuples in deterministic order, optionally
     subsampled with a seeded generator.
     """
-    seen_scenes = {}
-    for s in scenes:
-        for inst in s.instances:
-            if inst.identity is not None:
-                seen_scenes.setdefault(inst.identity, set()).add(s.scene_id)
-    queries = []
-    for s in sorted(scenes, key=lambda s: s.scene_id):
-        for inst in sorted(s.instances, key=lambda i: i.instance_id):
-            if inst.identity is None:
-                continue
-            if len(seen_scenes[inst.identity]) > 1:
-                queries.append((s, inst))
+    matched = {inst.instance_id for pair in labeled_pairs(scenes)[1] for inst in pair}
+    queries = [(s, inst) for s in sorted(scenes, key=lambda s: s.scene_id)
+               for inst in sorted(s.instances, key=lambda i: i.instance_id) if inst.instance_id in matched]
     if max_queries is not None and len(queries) > max_queries:
         rng = np.random.default_rng((seed, 0x9E1))
         idx = rng.choice(len(queries), size=max_queries, replace=False)

@@ -98,8 +98,8 @@ def select_top_k(candidates, scorer, k: int):
     return [ContextPair(*candidates[c], scores[c]) for c in chosen]
 
 
-def _pair_rng(seed: int, probe: Instance, gallery: Instance) -> np.random.Generator:
-    # stable per-pair stream so expansion order never depends on call order
+def pair_rng(seed: int, probe: Instance, gallery: Instance) -> np.random.Generator:
+    """The seeded random stream of one (probe, gallery) pair, whatever the call order."""
     tag = f"{probe.instance_id}|{gallery.instance_id}".encode()
     return np.random.default_rng((seed, zlib.crc32(tag)))
 
@@ -108,7 +108,7 @@ def _replicate(n: int, k: int, seed: int, probe: Instance, gallery: Instance) ->
     """Positions into n < k chosen contexts that fill them up to k: k - n
     seeded random draws, each placed next to the context it copies, so the
     contexts stay in descending score order."""
-    extra = _pair_rng(seed, probe, gallery).integers(0, n, size=k - n)
+    extra = pair_rng(seed, probe, gallery).integers(0, n, size=k - n)
     return np.repeat(np.arange(n), 1 + np.bincount(extra, minlength=n)).tolist()
 
 

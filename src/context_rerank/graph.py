@@ -193,8 +193,7 @@ def sample_loss(params: GcnParams, a_hat: np.ndarray, samples, x: Tensor = None)
 def fit_graph_model(samples, cfg: SgdConfig, norm: str, init, batch_loss, epoch_losses=None):
     """Check the GraphSamples (both labels, one side shape (N, f)), then fit
     ``init(rng, N, f)`` on ``batch_loss(params, a_hat, batch)`` with the
-    star Â of N nodes under ``norm``; deterministic per seed. The epoch log
-    lines start with the parameters' PREFIX."""
+    star Â of N nodes under ``norm``; deterministic per seed."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
@@ -207,8 +206,7 @@ def fit_graph_model(samples, cfg: SgdConfig, norm: str, init, batch_loss, epoch_
     a_hat = normalize_adjacency(star_adjacency(n), norm)
     rng = np.random.default_rng(cfg.seed)
     params = init(rng, n, f)
-    fit(params.tensors(), cfg, rng, lambda rng: samples, lambda batch: batch_loss(params, a_hat, batch),
-        params.PREFIX + " epoch %d/%d lr=%.4g mean_loss=%.6f", epoch_losses)
+    fit(params, cfg, rng, lambda rng: samples, lambda batch: batch_loss(params, a_hat, batch), epoch_losses)
     return params
 
 
@@ -253,6 +251,8 @@ def build_labeled_expansions(
 
     n_pos = len(expansions)
     target_neg = int(round(neg_ratio * n_pos))
+    if n_pos and not target_neg:
+        raise ConfigError(f"--neg-ratio {neg_ratio} gives no negative for {n_pos} positive targets")
     n = len(labeled)
     n_neg = 0
 

@@ -10,7 +10,6 @@ concurrently.
 from __future__ import annotations
 
 import operator
-import zlib
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .attention import AttentionParams, attention_head, slot_projections
 from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import UsageError
-from .expansion import member_index, scene_contexts
+from .expansion import member_index, pair_rng, scene_contexts
 from .graph import GcnParams, gcn_score_batch, node_features, normalize_adjacency, star_adjacency
 from .siamese import SiameseParams, siamese_score_batch
 
@@ -224,9 +223,4 @@ class RandomScorer:
         self.seed = seed
 
     def score_scene(self, probe_scene, probe, gallery_scene):
-        out = []
-        for i in gallery_scene.instances:
-            tag = f"{probe.instance_id}|{i.instance_id}".encode()
-            rng = np.random.default_rng((self.seed, zlib.crc32(tag)))
-            out.append((i, float(rng.random())))
-        return out
+        return [(i, float(pair_rng(self.seed, probe, i).random())) for i in gallery_scene.instances]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from context_rerank.autodiff import load_checkpoint, save_checkpoint
 from context_rerank.cli import build_parser, run
 
 GEN_ARGS = [
@@ -150,6 +151,24 @@ class TestEvalAndRerank:
         assert code == 2
         assert "readout expects 3" in caplog.text
 
+    @pytest.mark.parametrize("scorer, flag, kind", [
+        ("graph", "--gcn", "siamese"),
+        ("siamese", "--gcn", "gcn"),
+        ("attention", "--attn", "gcn"),
+    ])
+    def test_checkpoint_of_another_kind_exits_2(self, workspace, tmp_path, caplog, scorer, flag, kind):
+        # the paired checkpoint renamed as a siamese one: only the kind is read
+        entries = load_checkpoint(workspace["gcn"])
+        given = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(given, {name.replace("gcn/", f"{kind}/"): v for name, v in entries.items()})
+        paths = {"--attn": workspace["attn"], "--gcn": workspace["gcn"], flag: given}
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", scorer, "--context-k", "2",
+                    "--attn", str(paths["--attn"]), "--gcn", str(paths["--gcn"]),
+                    "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 2
+        assert f"{flag} {given} is not a" in caplog.text
+        assert f"entry prefixes are ['{kind}']" in caplog.text
+
     @pytest.mark.parametrize("damage", ["cut20", "cut_last8", "append"])
     def test_damaged_checkpoint_exits_3_naming_file(self, workspace, tmp_path, damage, caplog):
         blob = workspace["gcn"].read_bytes()
@@ -197,6 +216,16 @@ class TestEvalAndRerank:
         assert code == 2
 
 
+def with_missing_inputs(tmp_path, argv):
+    """``argv`` plus its command's required paths: input files that do not
+    exist, and an output file ``tmp_path / "out"``. A missing dataset would
+    exit 3, so exit 2 shows that a check came first."""
+    paths = {"--data": tmp_path / "missing.jsonl", "--out": tmp_path / "out", "--attn": tmp_path / "missing.ckpt"}
+    required = {"gen": ["--out"], "train-attn": ["--data", "--out"], "train-gcn": ["--data", "--attn", "--out"],
+                "eval": ["--data"], "sweep": ["--data"], "rerank": ["--data"], "gradcheck": []}[argv[0]]
+    return argv + [a for f in required for a in (f, str(paths[f]))]
+
+
 @pytest.mark.parametrize("argv", [
     ["train-attn", "--hidden", "0"],
     ["train-attn", "--neg-ratio", "0"],
@@ -208,15 +237,40 @@ class TestEvalAndRerank:
     ["gradcheck", "--trials", "0"],
 ], ids="_".join)
 def test_out_of_range_count_exits_2_before_any_work(tmp_path, caplog, argv):
-    # a missing dataset would exit 3, so exit 2 shows the check came first
-    command, flag, value = argv[0], argv[-2], argv[-1]
-    out = tmp_path / "out"
-    paths = {"--data": tmp_path / "missing.jsonl", "--out": out, "--attn": tmp_path / "missing.ckpt"}
-    required = {"train-attn": ["--data", "--out"], "train-gcn": ["--data", "--attn", "--out"],
-                "eval": ["--data"], "sweep": ["--data"], "rerank": ["--data"], "gradcheck": []}[command]
-    argv = argv + [a for f in required for a in (f, str(paths[f]))]
-    assert run(argv) == 2
+    flag, value = argv[-2], argv[-1]
+    assert run(with_missing_inputs(tmp_path, argv)) == 2
     assert f"{flag} must be >= 1, got {value}" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+BAD_VALUES = [
+    *[([command, "--seed", "-1"], "--seed must be >= 0, got -1")
+      for command in ("gen", "train-attn", "train-gcn", "eval", "sweep")],
+    (["rerank", "--probe", "p", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["gradcheck", "--seed", "-12"], "--seed must be >= 0, got -12"),
+    *[(["train-gcn", "--neg-ratio", v], f"--neg-ratio must be finite and > 0, got {float(v)}")
+      for v in ("nan", "inf", "0", "-1")],
+    *[(["gen", flag, v], f"{field} must be finite, got {v}")
+      for flag, field in (("--group-size-mean", "group_size_mean"), ("--noise-sigma", "view_noise_sigma"))
+      for v in ("nan", "inf")],
+    (["train-attn", "--lr", "nan"], "learning_rate must be finite and positive, got nan"),
+    (["train-gcn", "--lr", "inf"], "learning_rate must be finite and positive, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_VALUES, ids=["_".join(argv) for argv, _ in BAD_VALUES])
+def test_bad_value_exits_2_before_any_work(tmp_path, caplog, argv, message):
+    assert run(with_missing_inputs(tmp_path, argv)) == 2
+    assert message in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
+def test_neg_ratio_without_negatives_exits_2(workspace, tmp_path, caplog):
+    out = tmp_path / "gcn.ckpt"
+    code = run(["train-gcn", "--data", str(workspace["data"]), "--attn", str(workspace["attn"]),
+                "--out", str(out), "--context-k", "2", "--epochs", "1", "--neg-ratio", "0.001"])
+    assert code == 2
+    assert "--neg-ratio 0.001 gives no negative" in caplog.text
     assert not out.exists()
 
 

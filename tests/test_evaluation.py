@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from context_rerank.dataio import SynthConfig, generate_synthetic
+from context_rerank.dataio import Dataset, SynthConfig, generate_synthetic, validate
+from context_rerank.embeddings import Instance, PartEmbedding, Scene
 from context_rerank.errors import ConfigError, DataError
 from context_rerank.evaluation import (
     NoRelevantError,
@@ -124,6 +125,48 @@ class TestEvaluate:
                 for i in s.instances
             ]
             assert any(i.identity == q.identity for i in others)
+
+
+def grouping_corpus():
+    """Scenes (id, camera, persons as (instance id, identity)) that cover
+    each way a labeled person can or cannot have a cross-scene match.
+    Instance ids do not sort in scene order."""
+    rng = np.random.default_rng(0)
+
+    def person(iid, scene_id, identity):
+        parts = rng.standard_normal((4, 8))
+        parts /= np.linalg.norm(parts, axis=1, keepdims=True)
+        return Instance(iid, scene_id, (0, 0, 4, 8), identity, PartEmbedding.from_array(parts))
+
+    layout = [
+        ("sA", "cam0", [("z1", 1), ("z2", 1), ("m3", 2)]),  # identity 1 twice here and nowhere else
+        ("sB", "cam0", [("b1", 2), ("y2", None)]),  # identity 2 again on the same camera; unlabeled y2
+        ("sC", "cam1", [("k1", 3), ("a2", 5)]),
+        ("sD", "cam2", [("c1", 3)]),  # singleton scene; identity 3 across cameras
+        ("sE", "cam2", [("e1", 5), ("e2", 6)]),  # identity 5 across cameras; identity 6 seen once
+    ]
+    return [Scene(sid, cam, tuple(person(iid, sid, ident) for iid, ident in people))
+            for sid, cam, people in layout]
+
+
+class TestIdentityGrouping:
+    def test_queries_are_the_persons_with_a_cross_scene_match(self):
+        queries = select_queries(grouping_corpus())
+        assert [(s.scene_id, q.instance_id) for s, q in queries] == [
+            ("sA", "m3"), ("sB", "b1"), ("sC", "a2"), ("sC", "k1"), ("sD", "c1"), ("sE", "e1"),
+        ]
+
+    def test_validate_counts(self):
+        report = validate(Dataset(d=8, scenes=tuple(grouping_corpus())))
+        assert report == {
+            "num_scenes": 5,
+            "num_instances": 10,
+            "num_identities": 5,
+            "singleton_scenes": 1,
+            "cross_camera_positive_pairs": 2,  # (k1, c1) and (a2, e1)
+            "graph_trainable_pairs": 2,  # (m3, b1) and (a2, e1); (k1, c1) touches the singleton sD
+            "warnings": [],
+        }
 
 
 class TestSweepAndCsv:
