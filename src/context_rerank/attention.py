@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
+from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform, multiple_of
 from .embeddings import PartEmbedding, R_PARTS, labeled_pairs, part_cosines
 from .errors import ConfigError, DataError, DimensionError, UsageError
 
@@ -41,6 +41,11 @@ class AttentionParams(ParamSet):
     @property
     def dim(self) -> int:
         return self.w1.shape[1] // (2 * R_PARTS)
+
+    def expected_shapes(self) -> dict:
+        hidden, width = self.w1.shape
+        return {"w1": (hidden, multiple_of(width, 2 * R_PARTS)), "b1": (hidden, 1),
+                "w2": (R_PARTS, hidden), "b2": (R_PARTS, 1)}
 
 
 def init_attention_params(rng: np.random.Generator, d: int, hidden: int = DEFAULT_HIDDEN) -> AttentionParams:

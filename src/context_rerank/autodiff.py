@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "Tensor",
     "ParamSet",
+    "multiple_of",
     "SgdConfig",
     "glorot_uniform",
     "sgd_step",
@@ -455,10 +456,16 @@ class ParamSet:
 
     Every field is a Tensor, except an optional ``layers`` list of Tensors.
     Entries are named ``<PREFIX>/<field>`` and ``<PREFIX>/layer<i>`` and
-    written in field order.
+    written in field order. Every entry is 2-D, and ``expected_shapes``
+    holds the class's rule for how their shapes fit together.
     """
 
     PREFIX = ""
+
+    def expected_shapes(self) -> dict:
+        """The shape each entry must have, by the name after the prefix; a
+        dimension may be a str saying what it must be."""
+        return {}
 
     def _named(self):
         for f in fields(self):
@@ -479,6 +486,8 @@ class ParamSet:
         def leaf(name):
             if name not in entries:
                 raise DataError(f"checkpoint is missing {cls.PREFIX} parameter {name!r}")
+            if entries[name].ndim != 2:
+                raise DataError(f"checkpoint entry {name!r} has shape {entries[name].shape}, expected 2-D")
             return Tensor(entries[name], requires_grad=True)
 
         values = {}
@@ -490,7 +499,19 @@ class ParamSet:
                 values["layers"] = [leaf(f"{cls.PREFIX}/layer{i}") for i in range(n)]
             else:
                 values[f.name] = leaf(f"{cls.PREFIX}/{f.name}")
-        return cls(**values)
+        params = cls(**values)
+        for field, want in params.expected_shapes().items():
+            name = f"{cls.PREFIX}/{field}"
+            if entries[name].shape != want:
+                raise DataError(f"checkpoint entry {name!r} has shape {entries[name].shape}, "
+                                f"expected ({', '.join(map(str, want))})")
+        return params
+
+
+def multiple_of(n: int, m: int):
+    """``n`` where it is a positive multiple of ``m``, for ``expected_shapes``;
+    otherwise what it should have been."""
+    return n if m > 0 and n > 0 and n % m == 0 else f"a multiple of {m}"
 
 
 # -- finite-difference oracle -------------------------------------------

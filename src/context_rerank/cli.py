@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, RerankError, UsageError
 from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
 from .expansion import DEFAULT_K
 from .gradcheck import run_all
-from .graph import NODE_FEAT_MODES, NORM_MODES, GcnParams, build_graph_samples, train_gcn
+from .graph import GcnParams, build_graph_samples, train_gcn
 from .scoring import (
     SCORER_NAMES,
     AttentionScorer,
@@ -42,11 +42,11 @@ GRADCHECK_TOL = 1e-4
 # The least value of each integer option, by command; checked before any work.
 _LEAST = {
     "gen": {"seed": 0},
-    "train-attn": {"hidden": 1, "neg_ratio": 1, "seed": 0},
-    "train-gcn": {"max_positives": 1, "seed": 0},
-    "rerank": {"gallery_size": 1, "seed": 0},
-    "eval": {"max_queries": 1, "seed": 0},
-    "sweep": {"max_queries": 1, "seed": 0},
+    "train-attn": {"hidden": 1, "neg_ratio": 1, "lr_drop_epoch": 0, "seed": 0},
+    "train-gcn": {"context_k": 1, "max_positives": 1, "lr_drop_epoch": 0, "seed": 0},
+    "rerank": {"gallery_size": 1, "context_k": 1, "seed": 0},
+    "eval": {"gallery_size": 1, "max_queries": 1, "context_k": 1, "seed": 0},
+    "sweep": {"max_queries": 1, "context_k": 1, "seed": 0},
     "gradcheck": {"trials": 1, "seed": 0},
 }
 
@@ -86,13 +86,9 @@ def _sgd_config(args) -> SgdConfig:
                      batch_size=args.batch_size, schedule=schedule)
 
 
-def _add_graph_flags(p):
+def _add_context_k_flag(p):
     p.add_argument("--context-k", type=int, default=DEFAULT_K,
                    help=f"context pairs per target (default {DEFAULT_K})")
-    p.add_argument("--norm", choices=NORM_MODES, default=NORM_MODES[0],
-                   help=f"adjacency normalization (default {NORM_MODES[0]})")
-    p.add_argument("--node-feat", choices=NODE_FEAT_MODES, default=NODE_FEAT_MODES[0],
-                   help=f"node feature layout (default {NODE_FEAT_MODES[0]})")
 
 
 def _add_scorer_flags(p):
@@ -100,7 +96,7 @@ def _add_scorer_flags(p):
                    help="similarity used for ranking (default graph)")
     p.add_argument("--attn", type=Path, default=None, help="attention checkpoint path")
     p.add_argument("--gcn", type=Path, default=None, help="graph (or siamese) checkpoint path")
-    _add_graph_flags(p)
+    _add_context_k_flag(p)
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
 
@@ -133,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True, help="graph checkpoint output")
     p.add_argument("--mode", choices=("paired", "siamese"), default="paired",
                    help="paired-node graph (default) or two-graph siamese baseline")
-    _add_graph_flags(p)
+    _add_context_k_flag(p)
     p.add_argument("--max-positives", type=int, default=None,
                    help="cap on positive target pairs (default: all)")
     p.add_argument("--neg-ratio", type=float, default=1.0,
@@ -171,12 +167,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_params(cls, path, flag):
     """The ``cls`` parameters in the checkpoint that ``flag`` names; a
-    checkpoint of another model kind is a usage error."""
+    checkpoint of another model kind is a usage error, and one whose entries
+    do not fit together a data error naming the file."""
     entries = load_checkpoint(path)
     found = sorted({name.partition("/")[0] for name in entries})
     if cls.PREFIX not in found:
         raise ConfigError(f"{flag} {path} is not a {cls.PREFIX} checkpoint: its entry prefixes are {found}")
-    return cls.from_entries(entries)
+    try:
+        return cls.from_entries(entries)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def _load_attention(path, dataset) -> AttentionParams:
@@ -200,7 +200,7 @@ def _make_scorer(args, dataset):
         return AttentionScorer(attn)
     if args.gcn is None:
         raise UsageError(f"scorer {args.scorer!r} needs --gcn (trained graph checkpoint)")
-    kw = dict(k=args.context_k, seed=args.seed, node_feat=args.node_feat, norm=args.norm)
+    kw = dict(k=args.context_k, seed=args.seed)
     if args.scorer == "graph":
         return GraphScorer(attn, _load_params(GcnParams, args.gcn, "--gcn"), **kw)
     return SiameseScorer(attn, _load_params(SiameseParams, args.gcn, "--gcn"), **kw)
@@ -231,12 +231,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train_attn(args) -> int:
     cfg = _sgd_config(args)
+    verification = VerificationConfig(margin=args.margin)
     dataset = dataio.load_dataset(args.data)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
-    params = train_attention(
-        pairs, cfg, VerificationConfig(margin=args.margin), hidden=args.hidden, neg_ratio=args.neg_ratio
-    )
+    params = train_attention(pairs, cfg, verification, hidden=args.hidden, neg_ratio=args.neg_ratio)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-attn: wrote %s", args.out)
@@ -252,10 +251,10 @@ def _cmd_train_gcn(args) -> int:
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
     samples = build_graph_samples(
         dataset.scenes, attn_pair, k=args.context_k, seed=args.seed, neg_ratio=args.neg_ratio,
-        node_feat=args.node_feat, max_positives=args.max_positives,
+        max_positives=args.max_positives,
     )
     train = train_gcn if args.mode == "paired" else train_siamese
-    params = train(samples, cfg, norm=args.norm)
+    params = train(samples, cfg)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-gcn: wrote %s", args.out)
@@ -300,14 +299,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    dataset = dataio.load_dataset(args.data)
-    scorer = _make_scorer(args, dataset)
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError as e:
         raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from e
     if not sizes:
         raise ConfigError("--sizes is empty")
+    if min(sizes) < 1:
+        raise ConfigError(f"--sizes must be >= 1, got {min(sizes)}")
+    dataset = dataio.load_dataset(args.data)
+    scorer = _make_scorer(args, dataset)
     queries = select_queries(dataset.scenes, max_queries=args.max_queries, seed=args.seed)
     reports = gallery_sweep(sizes, queries, dataset.scenes, scorer, seed=args.seed)
     _write_or_print(reports_csv(reports), args.out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform
+from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform, multiple_of
 from .embeddings import WHOLE, labeled_pairs
 from .errors import ConfigError, DataError, DimensionError, UsageError
 from .expansion import ExpandedPair, expand
@@ -23,7 +23,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LAYERS = 3
 READOUT_DIM = 1024
-NODE_FEAT_MODES = ("whole", "allparts")
 NORM_MODES = ("sym", "row")
 
 
@@ -47,26 +46,20 @@ def normalize_adjacency(a: np.ndarray, mode: str = "sym") -> np.ndarray:
     raise ConfigError(f"adjacency normalization must be one of {NORM_MODES}, got {mode!r}")
 
 
-def node_features(insts, node_feat: str = "whole") -> np.ndarray:
-    """The (len(insts), f) node feature rows of persons: the whole-body
-    part, or all parts one after another."""
-    if node_feat == "whole":
-        rows = [i.embedding.parts[WHOLE] for i in insts]
-    elif node_feat == "allparts":
-        rows = [i.embedding.parts.reshape(-1) for i in insts]
-    else:
-        raise ConfigError(f"node_feat must be one of {NODE_FEAT_MODES}, got {node_feat!r}")
+def node_features(insts) -> np.ndarray:
+    """The (len(insts), f) node feature rows of persons: their whole-body parts."""
+    rows = [i.embedding.parts[WHOLE] for i in insts]
     widths = {r.shape[0] for r in rows}
     if len(widths) != 1:
         raise DataError(f"inconsistent node feature dimensions in graph: {sorted(widths)}")
     return np.stack(rows)
 
 
-def side_matrices(ep: ExpandedPair, node_feat: str = "whole"):
+def side_matrices(ep: ExpandedPair):
     """Node feature matrices (probe side, gallery side), each (K+1, f), of
     an expanded pair: the target pair in row 0, then the context pairs."""
     pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
-    xa, xb = np.split(node_features([a for a, _ in pairs] + [b for _, b in pairs], node_feat), 2)
+    xa, xb = np.split(node_features([a for a, _ in pairs] + [b for _, b in pairs]), 2)
     return xa, xb
 
 
@@ -86,19 +79,19 @@ class GraphSample:
     label: int  # 1 = same identity, 0 = different
 
 
-def samples_from_expansions(expansions, node_feat: str = "whole"):
+def samples_from_expansions(expansions):
     """Turn (ExpandedPair, label) tuples into GraphSamples."""
-    return [GraphSample(*side_matrices(ep, node_feat), label=label) for ep, label in expansions]
+    return [GraphSample(*side_matrices(ep), label=label) for ep, label in expansions]
 
 
-def build_graph(ep: ExpandedPair, node_feat: str = "whole") -> ContextGraph:
+def build_graph(ep: ExpandedPair) -> ContextGraph:
     """The star graph of an expanded pair, with "sym" normalization."""
     if ep.degenerate or len(ep.contexts) != ep.k:
         raise UsageError(
             f"build_graph needs exactly K={ep.k} contexts, got {len(ep.contexts)}"
             + (" (degenerate target)" if ep.degenerate else "")
         )
-    x = np.concatenate(side_matrices(ep, node_feat), axis=1)
+    x = np.concatenate(side_matrices(ep), axis=1)
     a = star_adjacency(len(x))
     return ContextGraph(x=x, adjacency=a, norm_adjacency=normalize_adjacency(a))
 
@@ -127,6 +120,13 @@ class GcnParams(ParamSet):
             cls_w=Tensor(glorot_uniform(rng, 2, cls.READOUTS * readout_dim), requires_grad=True),
             cls_b=Tensor(np.zeros((2, 1)), requires_grad=True),
         )
+
+    def expected_shapes(self) -> dict:
+        f = self.layers[0].shape[0]
+        readout, width = self.readout_w.shape
+        return {**{f"layer{i}": (f, f) for i in range(len(self.layers))},
+                "readout_w": (readout, multiple_of(width, f)), "readout_b": (readout, 1),
+                "cls_w": (2, self.READOUTS * readout), "cls_b": (2, 1)}
 
 
 init_gcn_params = GcnParams.init
@@ -190,10 +190,10 @@ def sample_loss(params: GcnParams, a_hat: np.ndarray, samples, x: Tensor = None)
     return gcn_logits(params, a_hat, x).cross_entropy_binary([s.label for s in samples])
 
 
-def fit_graph_model(samples, cfg: SgdConfig, norm: str, init, batch_loss, epoch_losses=None):
+def fit_graph_model(samples, cfg: SgdConfig, init, batch_loss, epoch_losses=None):
     """Check the GraphSamples (both labels, one side shape (N, f)), then fit
     ``init(rng, N, f)`` on ``batch_loss(params, a_hat, batch)`` with the
-    star Â of N nodes under ``norm``; deterministic per seed."""
+    "sym" star Â of N nodes; deterministic per seed."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
@@ -203,16 +203,16 @@ def fit_graph_model(samples, cfg: SgdConfig, norm: str, init, batch_loss, epoch_
     if len(shapes) != 1:
         raise DataError(f"all graph samples must share K; found node shapes {sorted(shapes)}")
     n, f = samples[0].xa.shape
-    a_hat = normalize_adjacency(star_adjacency(n), norm)
+    a_hat = normalize_adjacency(star_adjacency(n))
     rng = np.random.default_rng(cfg.seed)
     params = init(rng, n, f)
     fit(params, cfg, rng, lambda rng: samples, lambda batch: batch_loss(params, a_hat, batch), epoch_losses)
     return params
 
 
-def train_gcn(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list = None) -> GcnParams:
+def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     """Binary cross-entropy training of the paired GCN over GraphSamples."""
-    return fit_graph_model(samples, cfg, norm, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), sample_loss,
+    return fit_graph_model(samples, cfg, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), sample_loss,
                            epoch_losses)
 
 
@@ -299,11 +299,10 @@ def build_graph_samples(
     k: int = 3,
     seed: int = 0,
     neg_ratio: float = 1.0,
-    node_feat: str = "whole",
     max_positives: int = None,
 ):
     """The training set of either graph model, built from the labeled expansions."""
     expansions = build_labeled_expansions(
         scenes, attn_scorer, k=k, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives
     )
-    return samples_from_expansions(expansions, node_feat=node_feat)
+    return samples_from_expansions(expansions)

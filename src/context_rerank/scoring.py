@@ -136,15 +136,13 @@ class _ContextScorerBase:
     """Shared expansion machinery for the graph-based scorers: every target
     gets its K context pairs, and all targets share one star graph Â."""
 
-    def __init__(self, attn_params: AttentionParams, k: int = 3, seed: int = 0,
-                 node_feat: str = "whole", norm: str = "sym"):
+    def __init__(self, attn_params: AttentionParams, k: int = 3, seed: int = 0):
         if k < 1:
             raise UsageError(f"context K must be >= 1, got {k}")
         self.attn = AttentionScorer(attn_params)
         self.k = k
         self.seed = seed
-        self.node_feat = node_feat
-        self.a_hat = normalize_adjacency(star_adjacency(k + 1), norm)
+        self.a_hat = normalize_adjacency(star_adjacency(k + 1))
 
     def _score_targets(self, probe_scene, probe, gallery_scene, score_batch):
         """Score every gallery person. Targets with context go to
@@ -159,7 +157,7 @@ class _ContextScorerBase:
         row = member_index(probe_scene, probe, "probe")
         table = self.attn.pair_matrix(probe_scene.instances, insts)
         n_p = len(probe_scene.instances)
-        feats = node_features((*probe_scene.instances, *insts), self.node_feat)
+        feats = node_features((*probe_scene.instances, *insts))
         scores = np.empty(len(insts))
         batch, side_a, side_b = [], [], []
         for t, chosen in enumerate(scene_contexts(table, probe_scene, row, gallery_scene, self.k, self.seed)):

@@ -37,7 +37,7 @@ def siamese_score_batch(params: SiameseParams, a_hat: np.ndarray, xa: np.ndarray
     return siamese_forward(params, a_hat, Tensor(xa), Tensor(xb)).softmax().data[:, 1]
 
 
-def train_siamese(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list = None) -> SiameseParams:
+def train_siamese(samples, cfg: SgdConfig, epoch_losses: list = None) -> SiameseParams:
     """Binary cross-entropy training of the siamese model over GraphSamples."""
 
     def batch_loss(params, a_hat, batch):
@@ -45,4 +45,4 @@ def train_siamese(samples, cfg: SgdConfig, norm: str = "sym", epoch_losses: list
         xb = Tensor(np.stack([s.xb for s in batch]))
         return siamese_forward(params, a_hat, xa, xb).cross_entropy_binary([s.label for s in batch])
 
-    return fit_graph_model(samples, cfg, norm, init_siamese_params, batch_loss, epoch_losses)
+    return fit_graph_model(samples, cfg, init_siamese_params, batch_loss, epoch_losses)

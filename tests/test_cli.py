@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+from context_rerank.attention import AttentionParams
 from context_rerank.autodiff import load_checkpoint, save_checkpoint
 from context_rerank.cli import build_parser, run
+from context_rerank.dataio import load_dataset
+from context_rerank.evaluation import rank_gallery
+from context_rerank.graph import GcnParams
+from context_rerank.scoring import GraphScorer, SiameseScorer
+from context_rerank.siamese import SiameseParams
 
 GEN_ARGS = [
     "gen",
@@ -19,11 +25,13 @@ TRAIN_ARGS = ["--lr", "0.1", "--epochs", "2", "--batch-size", "16", "--seed", "5
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
-    """Dataset plus small trained checkpoints shared by the CLI tests."""
+    """Dataset plus small trained checkpoints shared by the CLI tests: the
+    paired and the siamese graph model are trained with K=2."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "ds.jsonl"
     attn = root / "attn.ckpt"
     gcn = root / "gcn.ckpt"
+    siamese = root / "siamese.ckpt"
     assert run(GEN_ARGS + ["--out", str(data)]) == 0
     assert run(["train-attn", "--data", str(data), "--out", str(attn)] + TRAIN_ARGS) == 0
     assert (
@@ -33,7 +41,9 @@ def workspace(tmp_path_factory):
         )
         == 0
     )
-    return {"root": root, "data": data, "attn": attn, "gcn": gcn}
+    assert run(["train-gcn", "--data", str(data), "--attn", str(attn), "--out", str(siamese),
+                "--mode", "siamese", "--context-k", "2", "--epochs", "1", "--batch-size", "16", "--seed", "5"]) == 0
+    return {"root": root, "data": data, "attn": attn, "gcn": gcn, "siamese": siamese}
 
 
 class TestGen:
@@ -70,18 +80,6 @@ class TestTraining:
         assert code == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("mode", ["paired", "siamese"])
-    def test_norm_changes_the_checkpoint(self, workspace, tmp_path, mode):
-        ckpts = {}
-        for norm in ("sym", "row"):
-            ckpts[norm] = tmp_path / f"{norm}.ckpt"
-            assert run(
-                ["train-gcn", "--data", str(workspace["data"]), "--attn", str(workspace["attn"]),
-                 "--out", str(ckpts[norm]), "--mode", mode, "--norm", norm, "--context-k", "2",
-                 "--lr", "0.1", "--epochs", "1", "--batch-size", "16", "--seed", "5"]
-            ) == 0
-        assert ckpts["sym"].read_bytes() != ckpts["row"].read_bytes()
-
     def test_missing_data_file_exits_3(self, tmp_path):
         code = run(["train-attn", "--data", str(tmp_path / "nope.jsonl"),
                     "--out", str(tmp_path / "o.ckpt")] + TRAIN_ARGS)
@@ -103,6 +101,19 @@ class TestTraining:
              "--out", str(tmp_path / "o.ckpt"), "--epochs", "1", "--seed", "5"]
         )
         assert code == 3
+
+
+# (entry, damage, expected shape) for the workspace checkpoints: hidden width 8
+# (TRAIN_ARGS), paired GCN layers of 2 x 16 features, readout 1024
+WRONG_SHAPES = [
+    ("attention/w1", lambda a: a.reshape(-1), "2-D"),
+    ("attention/b1", lambda a: np.vstack([a, a[:1]]), "(8, 1)"),
+    ("attention/w2", lambda a: a[:, :-1], "(4, 8)"),
+    ("attention/b2", lambda a: a[:-1], "(4, 1)"),
+    ("gcn/layer1", lambda a: a[:-1, :-1], "(32, 32)"),
+    ("gcn/readout_b", lambda a: a[:-1], "(1024, 1)"),
+    ("gcn/cls_b", lambda a: np.vstack([a, a[:1]]), "(2, 1)"),
+]
 
 
 class TestEvalAndRerank:
@@ -132,21 +143,17 @@ class TestEvalAndRerank:
                     "--gallery-size", "5"])
         assert code == 2
 
-    @pytest.mark.parametrize("flags", [["--context-k", "3"], ["--context-k", "2", "--node-feat", "allparts"]])
+    @pytest.mark.parametrize("flags", [["--context-k", "3"]])
     def test_graph_checkpoint_mismatch_exits_2(self, workspace, flags, caplog):
         code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph",
                     "--attn", str(workspace["attn"]), "--gcn", str(workspace["gcn"]),
                     "--gallery-size", "5", "--max-queries", "4"] + flags)
         assert code == 2
-        assert "does not match parameters" in caplog.text or "readout expects" in caplog.text
+        assert "readout expects 3" in caplog.text
 
-    def test_siamese_checkpoint_mismatch_exits_2(self, workspace, tmp_path, caplog):
-        siam = tmp_path / "siam.ckpt"
-        assert run(["train-gcn", "--data", str(workspace["data"]), "--attn", str(workspace["attn"]),
-                    "--out", str(siam), "--mode", "siamese", "--context-k", "2",
-                    "--epochs", "1", "--batch-size", "16", "--seed", "5"]) == 0
+    def test_siamese_checkpoint_mismatch_exits_2(self, workspace, caplog):
         code = run(["eval", "--data", str(workspace["data"]), "--scorer", "siamese",
-                    "--attn", str(workspace["attn"]), "--gcn", str(siam), "--context-k", "3",
+                    "--attn", str(workspace["attn"]), "--gcn", str(workspace["siamese"]), "--context-k", "3",
                     "--gallery-size", "5", "--max-queries", "4"])
         assert code == 2
         assert "readout expects 3" in caplog.text
@@ -180,6 +187,21 @@ class TestEvalAndRerank:
         assert code == 3
         assert str(bad) in caplog.text
 
+    @pytest.mark.parametrize("name, damage, expected", WRONG_SHAPES, ids=[name for name, _, _ in WRONG_SHAPES])
+    def test_checkpoint_entry_of_wrong_shape_exits_3(self, workspace, tmp_path, caplog, name, damage, expected):
+        flag = "--attn" if name.startswith("attention/") else "--gcn"
+        entries = load_checkpoint(workspace[flag[2:]])
+        entries[name] = damage(entries[name])
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, entries)
+        paths = {"--attn": workspace["attn"], "--gcn": workspace["gcn"], flag: bad}
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph", "--context-k", "2",
+                    "--attn", str(paths["--attn"]), "--gcn", str(paths["--gcn"]),
+                    "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 3
+        assert (f"{bad}: checkpoint entry '{name}' has shape {entries[name].shape}, expected {expected}"
+                in caplog.text)
+
     def test_rerank_ranked_csv(self, workspace, tmp_path, capsys):
         # find a probe id from the dataset file
         import json
@@ -194,6 +216,33 @@ class TestEvalAndRerank:
         assert rows[0] == "rank,instance_id,scene_id,score,relevant"
         scores = [float(r.split(",")[3]) for r in rows[1:]]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("scorer", ["graph", "siamese"])
+    def test_rerank_context_scorer_ranks_every_other_scene(self, workspace, tmp_path, scorer):
+        dataset = load_dataset(workspace["data"])
+        probe_scene = dataset.scenes[0]
+        probe = probe_scene.instances[0]
+        out = tmp_path / "rank.csv"
+        checkpoint = workspace["gcn" if scorer == "graph" else "siamese"]
+        code = run(["rerank", "--data", str(workspace["data"]), "--probe", probe.instance_id,
+                    "--scorer", scorer, "--attn", str(workspace["attn"]), "--gcn", str(checkpoint),
+                    "--context-k", "2", "--gallery-size", str(len(dataset.scenes)), "--seed", "5",
+                    "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().strip().split("\n")[1:]
+        others = [s for s in dataset.scenes if s.scene_id != probe_scene.scene_id]
+        ranked_ids = [r.split(",")[1] for r in rows]
+        assert sorted(ranked_ids) == sorted(i.instance_id for s in others for i in s.instances)
+        assert all(0.0 <= float(r.split(",")[3]) <= 1.0 for r in rows)
+
+        attn = AttentionParams.from_entries(load_checkpoint(workspace["attn"]))
+        if scorer == "graph":
+            model = GraphScorer(attn, GcnParams.from_entries(load_checkpoint(checkpoint)), k=2, seed=5)
+        else:
+            model = SiameseScorer(attn, SiameseParams.from_entries(load_checkpoint(checkpoint)), k=2, seed=5)
+        result = rank_gallery(probe, others, model, probe_scene)
+        assert rows == [f"{rank},{inst.instance_id},{inst.scene_id},{score:.6f},{int(rel)}"
+                        for rank, ((inst, score), rel) in enumerate(zip(result.ranked, result.relevance), start=1)]
 
     def test_rerank_unknown_probe_exits_3(self, workspace):
         code = run(["rerank", "--data", str(workspace["data"]), "--probe", "missing",
@@ -231,9 +280,14 @@ def with_missing_inputs(tmp_path, argv):
     ["train-attn", "--neg-ratio", "0"],
     ["train-gcn", "--max-positives", "-1"],
     ["train-gcn", "--max-positives", "0"],
+    ["train-gcn", "--context-k", "0"],
     ["eval", "--max-queries", "-1"],
+    ["eval", "--gallery-size", "0"],
+    ["eval", "--scorer", "uniform", "--context-k", "0"],
     ["sweep", "--max-queries", "-1"],
+    ["sweep", "--context-k", "0"],
     ["rerank", "--probe", "p", "--gallery-size", "-1"],
+    ["rerank", "--probe", "p", "--context-k", "0"],
     ["gradcheck", "--trials", "0"],
 ], ids="_".join)
 def test_out_of_range_count_exits_2_before_any_work(tmp_path, caplog, argv):
@@ -255,6 +309,10 @@ BAD_VALUES = [
       for v in ("nan", "inf")],
     (["train-attn", "--lr", "nan"], "learning_rate must be finite and positive, got nan"),
     (["train-gcn", "--lr", "inf"], "learning_rate must be finite and positive, got inf"),
+    *[([command, "--lr-drop-epoch", "-3"], "--lr-drop-epoch must be >= 0, got -3")
+      for command in ("train-attn", "train-gcn")],
+    (["train-attn", "--margin", "2"], "margin must be in [0, 1), got 2.0"),
+    (["sweep", "--sizes", "0,5"], "--sizes must be >= 1, got 0"),
 ]
 
 

@@ -117,16 +117,11 @@ class TestBuildGraph:
 
     def test_target_in_row_zero_whole_features(self):
         ep = self._expansion()
-        g = build_graph(ep, node_feat="whole")
+        g = build_graph(ep)
         assert g.x.shape == (4, 16)
         probe, gallery = ep.target
         expected = np.concatenate([probe.embedding.parts[0], gallery.embedding.parts[0]])
         assert np.array_equal(g.x[0], expected)
-
-    def test_allparts_features(self):
-        ep = self._expansion()
-        g = build_graph(ep, node_feat="allparts")
-        assert g.x.shape == (4, 64)
 
     def test_degenerate_rejected(self):
         ps = make_scene("sp", ["pt"])
@@ -135,19 +130,13 @@ class TestBuildGraph:
         with pytest.raises(UsageError):
             build_graph(ep)
 
-    @pytest.mark.parametrize("node_feat", ["whole", "allparts"])
-    def test_rows_are_the_two_side_matrices_side_by_side(self, node_feat):
+    def test_rows_are_the_two_side_matrices_side_by_side(self):
         ep = self._expansion()
-        x = build_graph(ep, node_feat=node_feat).x
-        assert np.array_equal(x, np.concatenate(side_matrices(ep, node_feat), axis=1))
-        feat = (lambda e: e.parts[0]) if node_feat == "whole" else (lambda e: e.parts.reshape(-1))
+        x = build_graph(ep).x
+        assert np.array_equal(x, np.concatenate(side_matrices(ep), axis=1))
         pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
-        reference = np.stack([np.concatenate([feat(a.embedding), feat(b.embedding)]) for a, b in pairs])
+        reference = np.stack([np.concatenate([a.embedding.parts[0], b.embedding.parts[0]]) for a, b in pairs])
         assert np.array_equal(x, reference)
-
-    def test_unknown_node_feat_rejected(self):
-        with pytest.raises(ConfigError):
-            side_matrices(self._expansion(), "colors")
 
 
 class TestGcnForward:

@@ -127,7 +127,7 @@ class TestSideMatrices:
         gs = make_scene("sg", ["gt", "g1", "g2"])
         scorer = lambda p, g: float(np.dot(p.embedding.parts[0], g.embedding.parts[0]))
         ep = expand(ps, ps.instances[0], gs, gs.instances[0], scorer, k=2, seed=0)
-        xa, xb = side_matrices(ep, "whole")
+        xa, xb = side_matrices(ep)
         assert xa.shape == (3, 8)
         assert np.array_equal(xa[0], ps.instances[0].embedding.parts[0])
         assert np.array_equal(xb[0], gs.instances[0].embedding.parts[0])
