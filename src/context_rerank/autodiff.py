@@ -456,8 +456,9 @@ class ParamSet:
 
     Every field is a Tensor, except an optional ``layers`` list of Tensors.
     Entries are named ``<PREFIX>/<field>`` and ``<PREFIX>/layer<i>`` and
-    written in field order. Every entry is 2-D, and ``expected_shapes``
-    holds the class's rule for how their shapes fit together.
+    written in field order. Every entry is 2-D and finite, every entry under
+    the prefix is read, and ``expected_shapes`` holds the class's rule for
+    how their shapes fit together.
     """
 
     PREFIX = ""
@@ -488,6 +489,8 @@ class ParamSet:
                 raise DataError(f"checkpoint is missing {cls.PREFIX} parameter {name!r}")
             if entries[name].ndim != 2:
                 raise DataError(f"checkpoint entry {name!r} has shape {entries[name].shape}, expected 2-D")
+            if not np.isfinite(entries[name]).all():
+                raise DataError(f"checkpoint entry {name!r} holds a non-finite value")
             return Tensor(entries[name], requires_grad=True)
 
         values = {}
@@ -500,6 +503,10 @@ class ParamSet:
             else:
                 values[f.name] = leaf(f"{cls.PREFIX}/{f.name}")
         params = cls(**values)
+        read = [name for name, _ in params._named()]
+        unread = sorted(name for name in entries if name.startswith(f"{cls.PREFIX}/") and name not in read)
+        if unread:
+            raise DataError(f"checkpoint entry {unread[0]!r} is not a {cls.PREFIX} parameter; they are {read}")
         for field, want in params.expected_shapes().items():
             name = f"{cls.PREFIX}/{field}"
             if entries[name].shape != want:

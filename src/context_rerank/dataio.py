@@ -186,7 +186,7 @@ class SynthConfig:
         for name, v in vars(self).items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        for name in ("num_identities", "num_cameras", "scenes_per_camera", "instances_per_scene"):
+        for name in ("num_identities", "num_cameras", "scenes_per_camera", "instances_per_scene", "lookalike_group"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("co_travel_prob", "part_dropout_prob", "lookalike_overlap"):

@@ -68,11 +68,14 @@ def average_precision(relevance) -> float:
 
 
 def rank_gallery(query: Instance, gallery_scenes, scorer, probe_scene: Scene) -> RankedResult:
-    """Score every instance of the gallery scenes against the query and rank."""
-    entries = []
-    for scene in gallery_scenes:
-        for inst, score in scorer.score_scene(probe_scene, query, scene):
-            entries.append((inst, float(score)))
+    """Score every instance of the gallery scenes against the query and rank.
+    A scorer without ``score_gallery`` is called once per scene through
+    ``score_scene``."""
+    if hasattr(scorer, "score_gallery"):
+        scored = scorer.score_gallery(probe_scene, query, gallery_scenes)
+    else:
+        scored = [e for scene in gallery_scenes for e in scorer.score_scene(probe_scene, query, scene)]
+    entries = [(inst, float(score)) for inst, score in scored]
     entries.sort(key=lambda e: (-e[1], e[0].instance_id))
     relevance = tuple(
         inst.identity is not None and inst.identity == query.identity for inst, _ in entries

@@ -1,10 +1,11 @@
 """Scorer implementations shared by evaluation and the CLI.
 
-A scorer exposes ``name`` and ``score_scene(probe_scene, probe,
-gallery_scene)`` yielding (instance, score) for every person in the
-gallery scene. Scorers do not change their parameters, and a score does
-not depend on the calls made before it, so queries can be processed
-concurrently.
+A scorer exposes ``name`` and ``score_gallery(probe_scene, probe,
+gallery_scenes)``, which returns (instance, score) for every person of the
+gallery: scene order, then instance order within each scene.
+``score_scene(probe_scene, probe, gallery_scene)`` is the same for one
+scene. Scorers do not change their parameters, and a score does not depend
+on the calls made before it, so queries can be processed concurrently.
 """
 
 from __future__ import annotations
@@ -24,21 +25,35 @@ from .siamese import SiameseParams, siamese_score_batch
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
 
-class UniformScorer:
+def _persons(gallery_scenes) -> list:
+    return [i for scene in gallery_scenes for i in scene.instances]
+
+
+class Scorer:
+    """The scorer protocol: subclasses define ``name`` and ``score_gallery``.
+    A subclass whose ``score_scene`` the benchmark traces repeats
+    ``score_scene = Scorer.score_scene`` in its own body, where the tracer
+    looks for it."""
+
+    def score_scene(self, probe_scene, probe, gallery_scene):
+        return self.score_gallery(probe_scene, probe, [gallery_scene])
+
+
+class UniformScorer(Scorer):
     """Mean of the four part cosines (fixed 0.25 weights)."""
 
     name = "uniform"
+    score_scene = Scorer.score_scene
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
-        insts = list(gallery_scene.instances)
+    def score_gallery(self, probe_scene, probe, gallery_scenes):
+        insts = _persons(gallery_scenes)
         if not insts:
             return []
         cos = cosine_matrix([probe.embedding], [i.embedding for i in insts])[0]
-        scores = cos @ uniform_weights()
-        return list(zip(insts, scores))
+        return list(zip(insts, cos @ uniform_weights()))
 
 
-class AttentionScorer:
+class AttentionScorer(Scorer):
     """Part fusion with weights predicted by the relative attention head.
 
     The scorer keeps first-layer products of the last probe side, so its
@@ -46,6 +61,7 @@ class AttentionScorer:
     """
 
     name = "attention"
+    score_scene = Scorer.score_scene
 
     def __init__(self, params: AttentionParams):
         self.params = params
@@ -99,15 +115,15 @@ class AttentionScorer:
         gallery_idx = [in_second[j] if f else in_first[j] for row in first for j, f in enumerate(row)]
         probe_idx = [i if f else n_p + i for i, row in enumerate(first) for f in row]
         pre = proj.take(gallery_idx, axis=0)
+        del proj  # at most two (pairs, hidden) arrays alive at once
         pre += probe_rows.take(probe_idx, axis=0)
         weights = attention_head(self.params, Tensor(pre)).data.reshape(n_p, n_g, -1)
         cos = np.einsum("ird,jrd->ijr", probe_parts, parts)
         return np.einsum("ijr,ijr->ij", cos, weights)
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
-        insts = list(gallery_scene.instances)
-        if not insts:
-            return []
+    def score_gallery(self, probe_scene, probe, gallery_scenes):
+        """One ``pair_matrix`` of the probe against every gallery person."""
+        insts = _persons(gallery_scenes)
         return list(zip(insts, self.pair_matrix([probe], insts)[0]))
 
     def scene_scorer(self, scenes):
@@ -132,9 +148,10 @@ class AttentionScorer:
         return score
 
 
-class _ContextScorerBase:
+class _ContextScorerBase(Scorer):
     """Shared expansion machinery for the graph-based scorers: every target
-    gets its K context pairs, and all targets share one star graph Â."""
+    gets its K context pairs, and all targets share one star graph Â.
+    Subclasses define ``_score_batch(XA, XB)`` for the targets with context."""
 
     def __init__(self, attn_params: AttentionParams, k: int = 3, seed: int = 0):
         if k < 1:
@@ -144,9 +161,12 @@ class _ContextScorerBase:
         self.seed = seed
         self.a_hat = normalize_adjacency(star_adjacency(k + 1))
 
-    def _score_targets(self, probe_scene, probe, gallery_scene, score_batch):
-        """Score every gallery person. Targets with context go to
-        ``score_batch(XA, XB)`` as stacked (B, K+1, f) probe-side and
+    def score_gallery(self, probe_scene, probe, gallery_scenes):
+        return [e for scene in gallery_scenes for e in self._score_targets(probe_scene, probe, scene)]
+
+    def _score_targets(self, probe_scene, probe, gallery_scene):
+        """Score every person of one gallery scene. Targets with context go
+        to ``_score_batch(XA, XB)`` as stacked (B, K+1, f) probe-side and
         gallery-side node features; targets without context fall back to
         the rescaled pair similarity. One attention-similarity matrix of
         the scene pair serves the context choice of every target and the
@@ -168,7 +188,7 @@ class _ContextScorerBase:
                 side_a.append([row] + [p for p, _ in chosen])
                 side_b.append([n_p + t] + [n_p + g for _, g in chosen])
         if batch:
-            scores[batch] = score_batch(feats[np.array(side_a)], feats[np.array(side_b)])
+            scores[batch] = self._score_batch(feats[np.array(side_a)], feats[np.array(side_b)])
         return list(zip(insts, scores))
 
 
@@ -176,14 +196,14 @@ class GraphScorer(_ContextScorerBase):
     """Paired-node star graph GCN match probability."""
 
     name = "graph"
+    score_scene = Scorer.score_scene
 
     def __init__(self, attn_params, gcn_params: GcnParams, **kw):
         super().__init__(attn_params, **kw)
         self.gcn = gcn_params
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
-        return self._score_targets(probe_scene, probe, gallery_scene, lambda xa, xb: gcn_score_batch(
-            self.gcn, self.a_hat, np.concatenate([xa, xb], axis=2)))
+    def _score_batch(self, xa, xb):
+        return gcn_score_batch(self.gcn, self.a_hat, np.concatenate([xa, xb], axis=2))
 
 
 class SiameseScorer(_ContextScorerBase):
@@ -195,24 +215,23 @@ class SiameseScorer(_ContextScorerBase):
         super().__init__(attn_params, **kw)
         self.siamese = siamese_params
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
-        return self._score_targets(probe_scene, probe, gallery_scene, lambda xa, xb: siamese_score_batch(
-            self.siamese, self.a_hat, xa, xb))
+    def _score_batch(self, xa, xb):
+        return siamese_score_batch(self.siamese, self.a_hat, xa, xb)
 
 
-class OracleScorer:
+class OracleScorer(Scorer):
     """Ground-truth identity scorer; the evaluation upper bound."""
 
     name = "oracle"
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
+    def score_gallery(self, probe_scene, probe, gallery_scenes):
         return [
             (i, 1.0 if (i.identity is not None and i.identity == probe.identity) else 0.0)
-            for i in gallery_scene.instances
+            for i in _persons(gallery_scenes)
         ]
 
 
-class RandomScorer:
+class RandomScorer(Scorer):
     """Seeded per-pair uniform scores; the evaluation chance baseline."""
 
     name = "random"
@@ -220,5 +239,5 @@ class RandomScorer:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def score_scene(self, probe_scene, probe, gallery_scene):
-        return [(i, float(pair_rng(self.seed, probe, i).random())) for i in gallery_scene.instances]
+    def score_gallery(self, probe_scene, probe, gallery_scenes):
+        return [(i, float(pair_rng(self.seed, probe, i).random())) for i in _persons(gallery_scenes)]

@@ -202,6 +202,24 @@ class TestEvalAndRerank:
         assert (f"{bad}: checkpoint entry '{name}' has shape {entries[name].shape}, expected {expected}"
                 in caplog.text)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda e: e["gcn/cls_b"].fill(np.nan), "checkpoint entry 'gcn/cls_b' holds a non-finite value"),
+        (lambda e: e["gcn/layer1"].__setitem__((0, 1), -np.inf),
+         "checkpoint entry 'gcn/layer1' holds a non-finite value"),
+        # a layer lost in the middle of the stack: layer0-2 are read, layer4 is not
+        (lambda e: e.update({"gcn/layer4": e["gcn/layer2"]}), "checkpoint entry 'gcn/layer4' is not a gcn parameter"),
+        (lambda e: e.update({"gcn/typo_w": e["gcn/cls_w"]}), "checkpoint entry 'gcn/typo_w' is not a gcn parameter"),
+    ], ids=["nan", "inf", "layer_gap", "unknown_name"])
+    def test_checkpoint_entry_it_cannot_use_exits_3(self, workspace, tmp_path, caplog, damage, message):
+        entries = load_checkpoint(workspace["gcn"])
+        damage(entries)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, entries)
+        code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph", "--context-k", "2",
+                    "--attn", str(workspace["attn"]), "--gcn", str(bad), "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 3
+        assert f"{bad}: {message}" in caplog.text
+
     def test_rerank_ranked_csv(self, workspace, tmp_path, capsys):
         # find a probe id from the dataset file
         import json
@@ -313,6 +331,7 @@ BAD_VALUES = [
       for command in ("train-attn", "train-gcn")],
     (["train-attn", "--margin", "2"], "margin must be in [0, 1), got 2.0"),
     (["sweep", "--sizes", "0,5"], "--sizes must be >= 1, got 0"),
+    *[(["gen", "--lookalike-group", v], f"lookalike_group must be positive, got {v}") for v in ("0", "-2")],
 ]
 
 

@@ -9,9 +9,11 @@ from context_rerank.embeddings import (
     fused_similarity,
     uniform_weights,
 )
+from context_rerank.evaluation import rank_gallery
 from context_rerank.expansion import expand
 from context_rerank.graph import build_graph, gcn_forward, init_gcn_params, normalize_adjacency, star_adjacency
 from context_rerank.scoring import (
+    SCORER_NAMES,
     AttentionScorer,
     GraphScorer,
     OracleScorer,
@@ -209,3 +211,74 @@ class TestOracleAndRandom:
         s2 = scorer.score_scene(ps, ps.instances[0], gs)
         assert [(i.instance_id, s) for i, s in s1] == [(i.instance_id, s) for i, s in s2]
         assert RandomScorer(seed=6).score_scene(ps, ps.instances[0], gs) != s1
+
+
+def build_scorer(name, attn_class=AttentionScorer):
+    rng = np.random.default_rng(11)
+    attn = init_attention_params(rng, 8, hidden=16)
+    if name == "graph":
+        return GraphScorer(attn, init_gcn_params(rng, 3, 16, readout_dim=5), k=2, seed=7)
+    if name == "siamese":
+        return SiameseScorer(attn, init_siamese_params(rng, 3, 8, readout_dim=5), k=2, seed=7)
+    return {"uniform": UniformScorer, "attention": lambda: attn_class(attn), "oracle": OracleScorer,
+            "random": lambda: RandomScorer(seed=3)}[name]()
+
+
+def gallery_with_empty_scene():
+    return [make_scene("ga", ["a0", "a1", "a2"], identities=[1, 4, 5]), Scene("ge", "cam1", ()),
+            make_scene("gb", ["b0", "b1"], identities=[2, 1]), make_scene("gc", ["c0"], identities=[6])]
+
+
+class SceneOnly:
+    """Forwards ``score_scene`` alone, like a wrapper that checks each scene's scores."""
+
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+
+    def score_scene(self, probe_scene, probe, gallery_scene):
+        return self.inner.score_scene(probe_scene, probe, gallery_scene)
+
+
+class TestScoreGallery:
+    @pytest.mark.parametrize("name", SCORER_NAMES)
+    def test_equals_concatenated_scenes(self, scene_pair, name):
+        # batching the gallery changes BLAS blocking for uniform and attention only
+        ps, _ = scene_pair
+        scorer = build_scorer(name)
+        gallery = gallery_with_empty_scene()
+        for probe in ps.instances:
+            whole = scorer.score_gallery(ps, probe, gallery)
+            per_scene = [e for scene in gallery for e in scorer.score_scene(ps, probe, scene)]
+            assert [i.instance_id for i, _ in whole] == ["a0", "a1", "a2", "b0", "b1", "c0"]
+            assert [i.instance_id for i, _ in per_scene] == ["a0", "a1", "a2", "b0", "b1", "c0"]
+            if name in ("uniform", "attention"):
+                assert np.allclose([s for _, s in whole], [s for _, s in per_scene], rtol=0.0, atol=1e-12)
+            else:
+                assert [s for _, s in whole] == [s for _, s in per_scene]
+            assert scorer.score_gallery(ps, probe, []) == []
+
+    @pytest.mark.parametrize("name", SCORER_NAMES)
+    def test_rank_gallery_through_scene_only_wrapper(self, scene_pair, name):
+        ps, _ = scene_pair
+        scorer = build_scorer(name)
+        gallery = gallery_with_empty_scene()
+        for probe in ps.instances:
+            direct = rank_gallery(probe, gallery, scorer, ps)
+            wrapped = rank_gallery(probe, gallery, SceneOnly(scorer), ps)
+            assert [i.instance_id for i, _ in direct.ranked] == [i.instance_id for i, _ in wrapped.ranked]
+            assert direct.relevance == wrapped.relevance
+            assert np.allclose([s for _, s in direct.ranked], [s for _, s in wrapped.ranked], rtol=0.0, atol=1e-12)
+
+    def test_attention_runs_one_pair_matrix_per_query(self, scene_pair):
+        class Counting(AttentionScorer):
+            calls = 0
+
+            def pair_matrix(self, probe_insts, gallery_insts):
+                self.calls += 1
+                return super().pair_matrix(probe_insts, gallery_insts)
+
+        ps, _ = scene_pair
+        scorer = build_scorer("attention", attn_class=Counting)
+        for probe in ps.instances:
+            rank_gallery(probe, gallery_with_empty_scene(), scorer, ps)
+        assert scorer.calls == len(ps.instances)
