@@ -86,9 +86,9 @@ def _sgd_config(args) -> SgdConfig:
                      batch_size=args.batch_size, schedule=schedule)
 
 
-def _add_context_k_flag(p):
-    p.add_argument("--context-k", type=int, default=DEFAULT_K,
-                   help=f"context pairs per target (default {DEFAULT_K})")
+def _add_context_k_flag(p, default=DEFAULT_K):
+    p.add_argument("--context-k", type=int, default=default,
+                   help=f"context pairs per target (default {default or 'the K of the --gcn checkpoint'})")
 
 
 def _add_scorer_flags(p):
@@ -96,7 +96,7 @@ def _add_scorer_flags(p):
                    help="similarity used for ranking (default graph)")
     p.add_argument("--attn", type=Path, default=None, help="attention checkpoint path")
     p.add_argument("--gcn", type=Path, default=None, help="graph (or siamese) checkpoint path")
-    _add_context_k_flag(p)
+    _add_context_k_flag(p, None)
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
 
 
@@ -347,6 +347,9 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         log.error("missing file: %s", e)
+        return DataError.exit_code
+    except OSError as e:
+        log.error("cannot use path %s: %s", e.filename, e.strerror or e)
         return DataError.exit_code
     except RerankError as e:
         log.error("%s", e)

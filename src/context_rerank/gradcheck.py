@@ -14,7 +14,7 @@ import numpy as np
 from .attention import VerificationConfig, init_attention_params, order_pair, pair_descriptor, pair_loss
 from .autodiff import Tensor, max_rel_error, numeric_gradient, relu_kink_distance
 from .embeddings import PartEmbedding, R_PARTS
-from .graph import GraphSample, init_gcn_params, normalize_adjacency, sample_loss, star_adjacency
+from .graph import init_gcn_params, normalize_adjacency, star_adjacency
 from .siamese import init_siamese_params, siamese_forward
 
 FD_STEP = 1e-5
@@ -151,7 +151,7 @@ def gradcheck_attention(n_trials: int = 100, seed: int = 15) -> float:
 def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
     """Full graph pipeline on a minibatch of 1-4 graphs with mixed labels:
     propagation, readout, classifier, mean cross-entropy; gradients w.r.t.
-    all parameters and the node features."""
+    all parameters and both sides' node features."""
 
     def make_trial(rng):
         k = int(rng.integers(1, 4))
@@ -159,16 +159,15 @@ def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
         n = k + 1
         a_hat = normalize_adjacency(star_adjacency(n))
         params = init_gcn_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
-        samples = [
-            GraphSample(*np.split(rng.uniform(-1, 1, (n, f)), 2, axis=1), label=int(rng.integers(0, 2)))
-            for _ in range(int(rng.integers(1, 5)))
-        ]
-        x = Tensor(np.stack([np.hstack([s.xa, s.xb]) for s in samples]), requires_grad=True)
+        draws = [(rng.uniform(-1, 1, (n, f)), int(rng.integers(0, 2))) for _ in range(int(rng.integers(1, 5)))]
+        x, labels = np.stack([d for d, _ in draws]), [label for _, label in draws]
+        # contiguous copies: numeric_gradient perturbs a leaf through a flat view of its data
+        xa, xb = (Tensor(side.copy(), requires_grad=True) for side in np.split(x, 2, axis=2))
 
         def build():
-            return sample_loss(params, a_hat, samples, x=x)
+            return params.logits(a_hat, xa, xb).cross_entropy_binary(labels)
 
-        return build, params.tensors() + [x]
+        return build, params.tensors() + [xa, xb]
 
     return _with_resampling(make_trial, n_trials, seed)
 

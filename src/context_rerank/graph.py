@@ -128,6 +128,16 @@ class GcnParams(ParamSet):
                 "readout_w": (readout, multiple_of(width, f)), "readout_b": (readout, 1),
                 "cls_w": (2, self.READOUTS * readout), "cls_b": (2, 1)}
 
+    @property
+    def n_nodes(self) -> int:
+        """The K+1 nodes of the graphs the readout was built for."""
+        return self.readout_w.shape[1] // self.layers[0].shape[0]
+
+    def logits(self, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
+        """(B, 2) class logits of (B, N, f) probe-side and gallery-side node
+        features: the paired GCN reads the two sides next to each other."""
+        return gcn_logits(self, a_hat, xa.concat(xb))
+
 
 init_gcn_params = GcnParams.init
 
@@ -173,27 +183,24 @@ def gcn_forward(params: GcnParams, graph: ContextGraph, activation: str = "relu"
     return logits, float(logits.softmax().data[0, 1])
 
 
-def gcn_score_batch(params: GcnParams, a_hat: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Match scores for a batch of graphs sharing one adjacency.
-
-    ``xs`` has shape (B, N, f); returns (B,) positive-class probabilities.
-    """
-    return gcn_logits(params, a_hat, Tensor(xs)).softmax().data[:, 1]
-
-
-def sample_loss(params: GcnParams, a_hat: np.ndarray, samples, x: Tensor = None) -> Tensor:
-    """Mean cross-entropy of the paired GCN on a minibatch of samples, whose
-    two sides it reads next to each other as (B, N, 2f) node features. ``x``
-    may replace those, e.g. with a requires_grad leaf for gradient checks."""
-    if x is None:
-        x = Tensor(np.concatenate([[s.xa for s in samples], [s.xb for s in samples]], axis=2))
-    return gcn_logits(params, a_hat, x).cross_entropy_binary([s.label for s in samples])
+def gcn_score_batch(params: GcnParams, a_hat: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Match scores of either graph model for (B, N, f) probe-side and
+    gallery-side node features sharing one adjacency; returns (B,)
+    positive-class probabilities."""
+    return params.logits(a_hat, Tensor(xa), Tensor(xb)).softmax().data[:, 1]
 
 
-def fit_graph_model(samples, cfg: SgdConfig, init, batch_loss, epoch_losses=None):
+def sample_loss(params: GcnParams, a_hat: np.ndarray, samples) -> Tensor:
+    """Mean cross-entropy of either graph model on a minibatch of samples."""
+    xa = Tensor(np.stack([s.xa for s in samples]))
+    xb = Tensor(np.stack([s.xb for s in samples]))
+    return params.logits(a_hat, xa, xb).cross_entropy_binary([s.label for s in samples])
+
+
+def fit_graph_model(samples, cfg: SgdConfig, init, epoch_losses=None):
     """Check the GraphSamples (both labels, one side shape (N, f)), then fit
-    ``init(rng, N, f)`` on ``batch_loss(params, a_hat, batch)`` with the
-    "sym" star Â of N nodes; deterministic per seed."""
+    ``init(rng, N, f)`` on ``sample_loss`` with the "sym" star Â of N nodes;
+    deterministic per seed."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
@@ -206,14 +213,13 @@ def fit_graph_model(samples, cfg: SgdConfig, init, batch_loss, epoch_losses=None
     a_hat = normalize_adjacency(star_adjacency(n))
     rng = np.random.default_rng(cfg.seed)
     params = init(rng, n, f)
-    fit(params, cfg, rng, lambda rng: samples, lambda batch: batch_loss(params, a_hat, batch), epoch_losses)
+    fit(params, cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, a_hat, batch), epoch_losses)
     return params
 
 
 def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     """Binary cross-entropy training of the paired GCN over GraphSamples."""
-    return fit_graph_model(samples, cfg, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), sample_loss,
-                           epoch_losses)
+    return fit_graph_model(samples, cfg, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), epoch_losses)
 
 
 def build_labeled_expansions(

@@ -4,8 +4,12 @@ A scorer exposes ``name`` and ``score_gallery(probe_scene, probe,
 gallery_scenes)``, which returns (instance, score) for every person of the
 gallery: scene order, then instance order within each scene.
 ``score_scene(probe_scene, probe, gallery_scene)`` is the same for one
-scene. Scorers do not change their parameters, and a score does not depend
-on the calls made before it, so queries can be processed concurrently.
+scene. Scorers do not change their parameters, and the same sequence of
+calls gives the same bits. The attention scorer keeps a memo of the last
+probe side, which a call replaces whole and never edits; a score computed
+from the memo can differ from a fresh scorer's in the last bits, because
+BLAS groups the rows differently (``test_probe_memo_matches_fresh_scorer``
+bounds the difference at 1e-12).
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import UsageError
 from .expansion import member_index, pair_rng, scene_contexts
 from .graph import GcnParams, gcn_score_batch, node_features, normalize_adjacency, star_adjacency
-from .siamese import SiameseParams, siamese_score_batch
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
@@ -149,14 +152,17 @@ class AttentionScorer(Scorer):
 
 
 class _ContextScorerBase(Scorer):
-    """Shared expansion machinery for the graph-based scorers: every target
-    gets its K context pairs, and all targets share one star graph Â.
-    Subclasses define ``_score_batch(XA, XB)`` for the targets with context."""
+    """Shared expansion machinery of the graph-based scorers: every target
+    gets its K context pairs, all targets share one star graph Â, and
+    ``gcn_score_batch`` runs ``params``' model on them. ``k=None`` takes K
+    from the parameters' shapes."""
 
-    def __init__(self, attn_params: AttentionParams, k: int = 3, seed: int = 0):
+    def __init__(self, attn_params: AttentionParams, params: GcnParams, k: int = None, seed: int = 0):
+        k = params.n_nodes - 1 if k is None else k
         if k < 1:
             raise UsageError(f"context K must be >= 1, got {k}")
         self.attn = AttentionScorer(attn_params)
+        self.params = params
         self.k = k
         self.seed = seed
         self.a_hat = normalize_adjacency(star_adjacency(k + 1))
@@ -166,7 +172,7 @@ class _ContextScorerBase(Scorer):
 
     def _score_targets(self, probe_scene, probe, gallery_scene):
         """Score every person of one gallery scene. Targets with context go
-        to ``_score_batch(XA, XB)`` as stacked (B, K+1, f) probe-side and
+        to ``gcn_score_batch`` as stacked (B, K+1, f) probe-side and
         gallery-side node features; targets without context fall back to
         the rescaled pair similarity. One attention-similarity matrix of
         the scene pair serves the context choice of every target and the
@@ -188,7 +194,8 @@ class _ContextScorerBase(Scorer):
                 side_a.append([row] + [p for p, _ in chosen])
                 side_b.append([n_p + t] + [n_p + g for _, g in chosen])
         if batch:
-            scores[batch] = self._score_batch(feats[np.array(side_a)], feats[np.array(side_b)])
+            xa, xb = feats[np.array(side_a)], feats[np.array(side_b)]
+            scores[batch] = gcn_score_batch(self.params, self.a_hat, xa, xb)
         return list(zip(insts, scores))
 
 
@@ -198,25 +205,11 @@ class GraphScorer(_ContextScorerBase):
     name = "graph"
     score_scene = Scorer.score_scene
 
-    def __init__(self, attn_params, gcn_params: GcnParams, **kw):
-        super().__init__(attn_params, **kw)
-        self.gcn = gcn_params
-
-    def _score_batch(self, xa, xb):
-        return gcn_score_batch(self.gcn, self.a_hat, np.concatenate([xa, xb], axis=2))
-
 
 class SiameseScorer(_ContextScorerBase):
     """Two shared-weight per-image graphs, concatenated readouts."""
 
     name = "siamese"
-
-    def __init__(self, attn_params, siamese_params: SiameseParams, **kw):
-        super().__init__(attn_params, **kw)
-        self.siamese = siamese_params
-
-    def _score_batch(self, xa, xb):
-        return siamese_score_batch(self.siamese, self.a_hat, xa, xb)
 
 
 class OracleScorer(Scorer):

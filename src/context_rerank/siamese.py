@@ -21,6 +21,9 @@ class SiameseParams(GcnParams):
     PREFIX = "siamese"
     READOUTS = 2
 
+    def logits(self, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
+        return siamese_forward(self, a_hat, xa, xb)
+
 
 init_siamese_params = SiameseParams.init
 
@@ -32,17 +35,6 @@ def siamese_forward(params: SiameseParams, a_hat: np.ndarray, xa: Tensor, xb: Te
     return h.linear(params.cls_w, params.cls_b)
 
 
-def siamese_score_batch(params: SiameseParams, a_hat: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Match scores for (B, N, f) side batches sharing one adjacency."""
-    return siamese_forward(params, a_hat, Tensor(xa), Tensor(xb)).softmax().data[:, 1]
-
-
 def train_siamese(samples, cfg: SgdConfig, epoch_losses: list = None) -> SiameseParams:
     """Binary cross-entropy training of the siamese model over GraphSamples."""
-
-    def batch_loss(params, a_hat, batch):
-        xa = Tensor(np.stack([s.xa for s in batch]))
-        xb = Tensor(np.stack([s.xb for s in batch]))
-        return siamese_forward(params, a_hat, xa, xb).cross_entropy_binary([s.label for s in batch])
-
-    return fit_graph_model(samples, cfg, init_siamese_params, batch_loss, epoch_losses)
+    return fit_graph_model(samples, cfg, init_siamese_params, epoch_losses)

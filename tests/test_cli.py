@@ -143,6 +143,18 @@ class TestEvalAndRerank:
                     "--gallery-size", "5"])
         assert code == 2
 
+    @pytest.mark.parametrize("scorer, checkpoint", [("graph", "gcn"), ("siamese", "siamese")])
+    def test_context_k_defaults_to_the_checkpoint_k(self, workspace, tmp_path, scorer, checkpoint):
+        outs = []
+        for flags in ([], ["--context-k", "2"]):
+            out = tmp_path / "eval.csv"
+            code = run(["eval", "--data", str(workspace["data"]), "--scorer", scorer,
+                        "--attn", str(workspace["attn"]), "--gcn", str(workspace[checkpoint]),
+                        "--gallery-size", "5", "--max-queries", "8", "--out", str(out)] + flags)
+            assert code == 0
+            outs.append(out.read_text())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("flags", [["--context-k", "3"]])
     def test_graph_checkpoint_mismatch_exits_2(self, workspace, flags, caplog):
         code = run(["eval", "--data", str(workspace["data"]), "--scorer", "graph",
@@ -281,6 +293,20 @@ class TestEvalAndRerank:
         code = run(["sweep", "--data", str(workspace["data"]), "--scorer", "uniform",
                     "--sizes", "a,b"])
         assert code == 2
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["eval", "--scorer", "uniform", "--data", "{data}", "--gallery-size", "5", "--out", "{dir}"], "{dir}"),
+    (["eval", "--scorer", "uniform", "--data", "{dir}"], "{dir}"),
+    (["eval", "--scorer", "attention", "--data", "{data}", "--attn", "{dir}"], "{dir}"),
+    (["train-attn", "--data", "{data}", "--out", "{data}/x.ckpt"] + TRAIN_ARGS, "{data}"),
+    (GEN_ARGS + ["--out", "{data}/ds.jsonl"], "{data}"),
+], ids=["eval_out_dir", "eval_data_dir", "eval_attn_dir", "train_attn_out_under_file", "gen_out_under_file"])
+def test_unusable_path_exits_3_naming_it(workspace, tmp_path, caplog, argv, named):
+    # a directory where a file is read or written, or a file where a directory must be
+    paths = {"data": workspace["data"], "dir": tmp_path}
+    assert run([a.format(**paths) for a in argv]) == 3
+    assert f"cannot use path {named.format(**paths)}" in caplog.text
 
 
 def with_missing_inputs(tmp_path, argv):

@@ -183,7 +183,8 @@ class TestGcnForward:
         params = init_gcn_params(rng, n, f, readout_dim=9)
         graphs = [random_graph(rng, n, f) for _ in range(5)]
         singles = [gcn_forward(params, g)[1] for g in graphs]
-        batched = gcn_score_batch(params, graphs[0].norm_adjacency, np.stack([g.x for g in graphs]))
+        xa, xb = np.split(np.stack([g.x for g in graphs]), 2, axis=2)
+        batched = gcn_score_batch(params, graphs[0].norm_adjacency, xa, xb)
         assert np.allclose(batched, singles, atol=1e-12)
 
     def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self):

@@ -11,7 +11,14 @@ from context_rerank.embeddings import (
 )
 from context_rerank.evaluation import rank_gallery
 from context_rerank.expansion import expand
-from context_rerank.graph import build_graph, gcn_forward, init_gcn_params, normalize_adjacency, star_adjacency
+from context_rerank.graph import (
+    build_graph,
+    gcn_forward,
+    gcn_score_batch,
+    init_gcn_params,
+    normalize_adjacency,
+    star_adjacency,
+)
 from context_rerank.scoring import (
     SCORER_NAMES,
     AttentionScorer,
@@ -21,7 +28,7 @@ from context_rerank.scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from context_rerank.siamese import init_siamese_params, siamese_score_batch
+from context_rerank.siamese import init_siamese_params
 
 
 def make_instance(iid, scene_id, identity=None, d=8):
@@ -62,7 +69,7 @@ def reference_siamese_score(attn, siam, ps, probe, gs, target, k, seed):
     xa = np.stack([a.embedding.parts[0] for a, _ in pairs])
     xb = np.stack([b.embedding.parts[0] for _, b in pairs])
     a_hat = normalize_adjacency(star_adjacency(k + 1))
-    return float(siamese_score_batch(siam, a_hat, xa[None], xb[None])[0])
+    return float(gcn_score_batch(siam, a_hat, xa[None], xb[None])[0])
 
 
 @pytest.fixture()

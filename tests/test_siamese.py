@@ -6,14 +6,21 @@ from context_rerank.embeddings import Instance, PartEmbedding, Scene
 from context_rerank.errors import ConfigError, DataError
 from context_rerank.expansion import expand
 from context_rerank.attention import init_attention_params
-from context_rerank.graph import GraphSample, init_gcn_params, normalize_adjacency, side_matrices, star_adjacency
+from context_rerank.graph import (
+    GraphSample,
+    gcn_score_batch,
+    init_gcn_params,
+    normalize_adjacency,
+    sample_loss,
+    side_matrices,
+    star_adjacency,
+)
 from context_rerank.scoring import SiameseScorer
 from context_rerank.siamese import (
     SiameseParams,
     init_siamese_params,
     samples_from_expansions,
     siamese_forward,
-    siamese_score_batch,
     train_siamese,
 )
 
@@ -83,7 +90,7 @@ class TestForward:
         params = init_siamese_params(rng, 3, 5, readout_dim=4)
         a_hat = normalize_adjacency(star_adjacency(3))
         sides = [random_sides(rng, 3, 5) for _ in range(10)]
-        scores = siamese_score_batch(
+        scores = gcn_score_batch(
             params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
         )
         assert np.all((scores > 0.0) & (scores < 1.0))
@@ -99,10 +106,29 @@ class TestForward:
             logits = reference_logits(params, xa, xb)
             e = np.exp(logits - logits.max())
             singles.append((e / e.sum())[1])
-        batched = siamese_score_batch(
+        batched = gcn_score_batch(
             params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
         )
         assert np.allclose(batched, singles, atol=1e-12)
+
+    def test_sample_loss_is_the_forward_loss_bit_for_bit(self):
+        # the one loss of both graph models runs the siamese forward through params.logits
+        rng = np.random.default_rng(9)
+        n, f = 3, 4
+        params = init_siamese_params(rng, n, f, readout_dim=5)
+        a_hat = normalize_adjacency(star_adjacency(n))
+        samples = [GraphSample(*random_sides(rng, n, f), label=i % 2) for i in range(4)]
+        loss = sample_loss(params, a_hat, samples)
+        loss.backward()
+        grads = [t.grad.copy() for t in params.tensors()]
+        for t in params.tensors():
+            t.grad = None
+        xa, xb = (Tensor(np.stack([getattr(s, side) for s in samples])) for side in ("xa", "xb"))
+        expected = siamese_forward(params, a_hat, xa, xb).cross_entropy_binary([s.label for s in samples])
+        expected.backward()
+        assert loss.item() == expected.item()
+        for grad, t in zip(grads, params.tensors()):
+            assert np.array_equal(grad, t.grad)
 
     def test_mismatched_node_count_is_config_error(self):
         rng = np.random.default_rng(7)
