@@ -379,11 +379,9 @@ def fit(params: ParamSet, cfg: SgdConfig, rng: np.random.Generator, draw, batch_
         log.info(message, epoch, cfg.epochs, lr, mean_loss)
 
 
-def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int, shape=None) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    if shape is None:
-        shape = (fan_out, fan_in)
-    return rng.uniform(-limit, limit, size=shape)
+    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 # -- checkpoint format --------------------------------------------------

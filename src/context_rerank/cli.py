@@ -216,9 +216,9 @@ def _write_or_print(text: str, out: Path):
 def _cmd_gen(args) -> int:
     cfg = dataio.SynthConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
                                 for flag, (name, _) in _GEN_FLAGS.items()})
-    dataset = dataio.generate_synthetic(cfg)
     out = args.out or (_default_data_dir() / "synth.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
+    dataset = dataio.generate_synthetic(cfg)
     dataio.save_dataset(dataset, out)
     report = dataio.validate(dataset)
     for key, value in report.items():
@@ -232,11 +232,11 @@ def _cmd_gen(args) -> int:
 def _cmd_train_attn(args) -> int:
     cfg = _sgd_config(args)
     verification = VerificationConfig(margin=args.margin)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     dataset = dataio.load_dataset(args.data)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
     params = train_attention(pairs, cfg, verification, hidden=args.hidden, neg_ratio=args.neg_ratio)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-attn: wrote %s", args.out)
     return 0
@@ -246,6 +246,7 @@ def _cmd_train_gcn(args) -> int:
     if not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
         raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
     cfg = _sgd_config(args)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     dataset = dataio.load_dataset(args.data)
     attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
@@ -255,7 +256,6 @@ def _cmd_train_gcn(args) -> int:
     )
     train = train_gcn if args.mode == "paired" else train_siamese
     params = train(samples, cfg)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-gcn: wrote %s", args.out)
     return 0

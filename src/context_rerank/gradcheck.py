@@ -14,7 +14,7 @@ import numpy as np
 from .attention import VerificationConfig, init_attention_params, order_pair, pair_descriptor, pair_loss
 from .autodiff import Tensor, max_rel_error, numeric_gradient, relu_kink_distance
 from .embeddings import PartEmbedding, R_PARTS
-from .graph import init_gcn_params, normalize_adjacency, star_adjacency
+from .graph import init_gcn_params
 from .siamese import init_siamese_params, siamese_forward
 
 FD_STEP = 1e-5
@@ -157,7 +157,6 @@ def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
         k = int(rng.integers(1, 4))
         f = 2 * int(rng.integers(2, 5))
         n = k + 1
-        a_hat = normalize_adjacency(star_adjacency(n))
         params = init_gcn_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
         draws = [(rng.uniform(-1, 1, (n, f)), int(rng.integers(0, 2))) for _ in range(int(rng.integers(1, 5)))]
         x, labels = np.stack([d for d, _ in draws]), [label for _, label in draws]
@@ -165,7 +164,7 @@ def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
         xa, xb = (Tensor(side.copy(), requires_grad=True) for side in np.split(x, 2, axis=2))
 
         def build():
-            return params.logits(a_hat, xa, xb).cross_entropy_binary(labels)
+            return params.logits(xa, xb).cross_entropy_binary(labels)
 
         return build, params.tensors() + [xa, xb]
 
@@ -182,13 +181,12 @@ def gradcheck_siamese(n_trials: int = 100, seed: int = 17) -> float:
         f = int(rng.integers(2, 5))
         b = int(rng.integers(1, 5))
         params = init_siamese_params(rng, n, f, readout_dim=int(rng.integers(3, 7)))
-        a_hat = normalize_adjacency(star_adjacency(n))
         xa = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
         xb = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
         labels = rng.integers(0, 2, size=b)
 
         def build():
-            return siamese_forward(params, a_hat, xa, xb).cross_entropy_binary(labels)
+            return siamese_forward(params, xa, xb).cross_entropy_binary(labels)
 
         return build, params.tensors() + [xa, xb]
 

@@ -11,19 +11,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform, multiple_of
 from .embeddings import WHOLE, labeled_pairs
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .expansion import ExpandedPair, expand
+from .expansion import DEFAULT_K, ExpandedPair, expand
 
 log = logging.getLogger(__name__)
 
 DEFAULT_LAYERS = 3
 READOUT_DIM = 1024
-NORM_MODES = ("sym", "row")
 
 
 def star_adjacency(n: int) -> np.ndarray:
@@ -37,13 +37,11 @@ def star_adjacency(n: int) -> np.ndarray:
 
 
 def normalize_adjacency(a: np.ndarray, mode: str = "sym") -> np.ndarray:
-    deg = a.sum(axis=1)
-    if mode == "sym":
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        return a * inv_sqrt[:, None] * inv_sqrt[None, :]
-    if mode == "row":
-        return a / deg[:, None]
-    raise ConfigError(f"adjacency normalization must be one of {NORM_MODES}, got {mode!r}")
+    """D^-1/2 A D^-1/2, the one normalization (``mode`` must be "sym")."""
+    if mode != "sym":
+        raise ConfigError(f"adjacency normalization must be 'sym', got {mode!r}")
+    inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 def node_features(insts) -> np.ndarray:
@@ -133,10 +131,15 @@ class GcnParams(ParamSet):
         """The K+1 nodes of the graphs the readout was built for."""
         return self.readout_w.shape[1] // self.layers[0].shape[0]
 
-    def logits(self, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
+    @cached_property
+    def a_hat(self) -> np.ndarray:
+        """The normalized star Â of ``n_nodes`` nodes, built once: parameter shapes never change."""
+        return normalize_adjacency(star_adjacency(self.n_nodes))
+
+    def logits(self, xa: Tensor, xb: Tensor) -> Tensor:
         """(B, 2) class logits of (B, N, f) probe-side and gallery-side node
         features: the paired GCN reads the two sides next to each other."""
-        return gcn_logits(self, a_hat, xa.concat(xb))
+        return gcn_logits(self, self.a_hat, xa.concat(xb))
 
 
 init_gcn_params = GcnParams.init
@@ -183,24 +186,23 @@ def gcn_forward(params: GcnParams, graph: ContextGraph, activation: str = "relu"
     return logits, float(logits.softmax().data[0, 1])
 
 
-def gcn_score_batch(params: GcnParams, a_hat: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+def gcn_score_batch(params: GcnParams, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Match scores of either graph model for (B, N, f) probe-side and
-    gallery-side node features sharing one adjacency; returns (B,)
-    positive-class probabilities."""
-    return params.logits(a_hat, Tensor(xa), Tensor(xb)).softmax().data[:, 1]
+    gallery-side node features; returns (B,) positive-class probabilities."""
+    return params.logits(Tensor(xa), Tensor(xb)).softmax().data[:, 1]
 
 
-def sample_loss(params: GcnParams, a_hat: np.ndarray, samples) -> Tensor:
+def sample_loss(params: GcnParams, samples) -> Tensor:
     """Mean cross-entropy of either graph model on a minibatch of samples."""
     xa = Tensor(np.stack([s.xa for s in samples]))
     xb = Tensor(np.stack([s.xb for s in samples]))
-    return params.logits(a_hat, xa, xb).cross_entropy_binary([s.label for s in samples])
+    return params.logits(xa, xb).cross_entropy_binary([s.label for s in samples])
 
 
 def fit_graph_model(samples, cfg: SgdConfig, init, epoch_losses=None):
     """Check the GraphSamples (both labels, one side shape (N, f)), then fit
-    ``init(rng, N, f)`` on ``sample_loss`` with the "sym" star Â of N nodes;
-    deterministic per seed."""
+    ``init(rng, N, f)`` on ``sample_loss``; the parameters' shapes fix K
+    and Â. Deterministic per seed."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
@@ -210,10 +212,9 @@ def fit_graph_model(samples, cfg: SgdConfig, init, epoch_losses=None):
     if len(shapes) != 1:
         raise DataError(f"all graph samples must share K; found node shapes {sorted(shapes)}")
     n, f = samples[0].xa.shape
-    a_hat = normalize_adjacency(star_adjacency(n))
     rng = np.random.default_rng(cfg.seed)
     params = init(rng, n, f)
-    fit(params, cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, a_hat, batch), epoch_losses)
+    fit(params, cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, batch), epoch_losses)
     return params
 
 
@@ -225,7 +226,7 @@ def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
 def build_labeled_expansions(
     scenes,
     attn_scorer,
-    k: int = 3,
+    k: int = DEFAULT_K,
     seed: int = 0,
     neg_ratio: float = 1.0,
     max_positives: int = None,
@@ -302,7 +303,7 @@ def build_labeled_expansions(
 def build_graph_samples(
     scenes,
     attn_scorer,
-    k: int = 3,
+    k: int = DEFAULT_K,
     seed: int = 0,
     neg_ratio: float = 1.0,
     max_positives: int = None,

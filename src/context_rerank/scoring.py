@@ -23,7 +23,7 @@ from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import UsageError
 from .expansion import member_index, pair_rng, scene_contexts
-from .graph import GcnParams, gcn_score_batch, node_features, normalize_adjacency, star_adjacency
+from .graph import GcnParams, gcn_score_batch, node_features
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
@@ -153,9 +153,9 @@ class AttentionScorer(Scorer):
 
 class _ContextScorerBase(Scorer):
     """Shared expansion machinery of the graph-based scorers: every target
-    gets its K context pairs, all targets share one star graph Â, and
-    ``gcn_score_batch`` runs ``params``' model on them. ``k=None`` takes K
-    from the parameters' shapes."""
+    gets its K context pairs, and ``gcn_score_batch`` runs ``params``' model
+    on them. ``k=None`` takes K from the parameters' shapes, which also fix
+    Â; another K fails in the readout's width check."""
 
     def __init__(self, attn_params: AttentionParams, params: GcnParams, k: int = None, seed: int = 0):
         k = params.n_nodes - 1 if k is None else k
@@ -165,7 +165,6 @@ class _ContextScorerBase(Scorer):
         self.params = params
         self.k = k
         self.seed = seed
-        self.a_hat = normalize_adjacency(star_adjacency(k + 1))
 
     def score_gallery(self, probe_scene, probe, gallery_scenes):
         return [e for scene in gallery_scenes for e in self._score_targets(probe_scene, probe, scene)]
@@ -195,7 +194,7 @@ class _ContextScorerBase(Scorer):
                 side_b.append([n_p + t] + [n_p + g for _, g in chosen])
         if batch:
             xa, xb = feats[np.array(side_a)], feats[np.array(side_b)]
-            scores[batch] = gcn_score_batch(self.params, self.a_hat, xa, xb)
+            scores[batch] = gcn_score_batch(self.params, xa, xb)
         return list(zip(insts, scores))
 
 

@@ -8,8 +8,6 @@ trained on the same GraphSamples.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .autodiff import SgdConfig, Tensor
 from .graph import GcnParams, fit_graph_model, graph_readout
 from .graph import samples_from_expansions  # re-exported: the sample builder of both graph models
@@ -21,17 +19,17 @@ class SiameseParams(GcnParams):
     PREFIX = "siamese"
     READOUTS = 2
 
-    def logits(self, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
-        return siamese_forward(self, a_hat, xa, xb)
+    def logits(self, xa: Tensor, xb: Tensor) -> Tensor:
+        return siamese_forward(self, xa, xb)
 
 
 init_siamese_params = SiameseParams.init
 
 
-def siamese_forward(params: SiameseParams, a_hat: np.ndarray, xa: Tensor, xb: Tensor) -> Tensor:
+def siamese_forward(params: SiameseParams, xa: Tensor, xb: Tensor) -> Tensor:
     """Both sides of a batch of pairs, each (B, N, f), through the shared
-    branch; returns the (B, 2) class logits."""
-    h = graph_readout(params, a_hat, xa).concat(graph_readout(params, a_hat, xb))
+    branch on ``params.a_hat``; returns the (B, 2) class logits."""
+    h = graph_readout(params, params.a_hat, xa).concat(graph_readout(params, params.a_hat, xb))
     return h.linear(params.cls_w, params.cls_b)
 
 

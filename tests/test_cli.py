@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -300,13 +302,18 @@ class TestEvalAndRerank:
     (["eval", "--scorer", "uniform", "--data", "{dir}"], "{dir}"),
     (["eval", "--scorer", "attention", "--data", "{data}", "--attn", "{dir}"], "{dir}"),
     (["train-attn", "--data", "{data}", "--out", "{data}/x.ckpt"] + TRAIN_ARGS, "{data}"),
+    (["train-gcn", "--data", "{data}", "--attn", "{attn}", "--out", "{data}/x.ckpt", "--epochs", "1"], "{data}"),
     (GEN_ARGS + ["--out", "{data}/ds.jsonl"], "{data}"),
-], ids=["eval_out_dir", "eval_data_dir", "eval_attn_dir", "train_attn_out_under_file", "gen_out_under_file"])
+], ids=["eval_out_dir", "eval_data_dir", "eval_attn_dir", "train_attn_out_under_file",
+        "train_gcn_out_under_file", "gen_out_under_file"])
 def test_unusable_path_exits_3_naming_it(workspace, tmp_path, caplog, argv, named):
-    # a directory where a file is read or written, or a file where a directory must be
-    paths = {"data": workspace["data"], "dir": tmp_path}
+    # a directory where a file is read or written, or a file where a directory must be;
+    # an unusable --out is reported before any training epoch
+    caplog.set_level(logging.INFO)
+    paths = {"data": workspace["data"], "attn": workspace["attn"], "dir": tmp_path}
     assert run([a.format(**paths) for a in argv]) == 3
     assert f"cannot use path {named.format(**paths)}" in caplog.text
+    assert " epoch " not in caplog.text
 
 
 def with_missing_inputs(tmp_path, argv):

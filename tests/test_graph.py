@@ -25,7 +25,7 @@ from context_rerank.graph import (
     train_gcn,
 )
 from context_rerank.scoring import GraphScorer
-from context_rerank.siamese import train_siamese
+from context_rerank.siamese import init_siamese_params, train_siamese
 
 
 def make_instance(iid, scene_id, identity=None, d=8, seed=None):
@@ -96,14 +96,17 @@ class TestStarAdjacency:
             assert a_hat[j, 0] == pytest.approx(1.0 / np.sqrt(10.0), abs=1e-12)
             assert a_hat[j, j] == pytest.approx(0.5, abs=1e-12)
 
-    def test_row_normalization_rows_sum_to_one(self):
-        for n in range(1, 8):
-            a_hat = normalize_adjacency(star_adjacency(n), "row")
-            assert np.allclose(a_hat.sum(axis=1), 1.0, atol=1e-12)
-
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            normalize_adjacency(star_adjacency(3), "colwise")
+        for mode in ("colwise", "row"):
+            with pytest.raises(ConfigError):
+                normalize_adjacency(star_adjacency(3), mode)
+
+    @pytest.mark.parametrize("init", [init_gcn_params, init_siamese_params])
+    def test_params_carry_the_normalized_star_of_their_k(self, init):
+        for k in range(1, 5):
+            params = init(np.random.default_rng(k), k + 1, 2, readout_dim=3)
+            assert np.array_equal(params.a_hat, normalize_adjacency(star_adjacency(k + 1)))
+            assert params.a_hat is params.a_hat
 
 
 class TestBuildGraph:
@@ -184,24 +187,23 @@ class TestGcnForward:
         graphs = [random_graph(rng, n, f) for _ in range(5)]
         singles = [gcn_forward(params, g)[1] for g in graphs]
         xa, xb = np.split(np.stack([g.x for g in graphs]), 2, axis=2)
-        batched = gcn_score_batch(params, graphs[0].norm_adjacency, xa, xb)
+        batched = gcn_score_batch(params, xa, xb)
         assert np.allclose(batched, singles, atol=1e-12)
 
     def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self):
         rng = np.random.default_rng(7)
         n, f = 4, 3
         params = init_gcn_params(rng, n, 2 * f, readout_dim=9)
-        a_hat = normalize_adjacency(star_adjacency(n))
         samples = [random_sample(rng, n, f, i % 2) for i in range(5)]
         singles, grads = [], []
         for s in samples:
-            loss = sample_loss(params, a_hat, [s])
+            loss = sample_loss(params, [s])
             loss.backward()
             singles.append(loss.item())
             grads.append([t.grad.copy() for t in params.tensors()])
             for t in params.tensors():
                 t.grad = None
-        loss = sample_loss(params, a_hat, samples)
+        loss = sample_loss(params, samples)
         loss.backward()
         assert loss.item() == pytest.approx(np.mean(singles), abs=1e-12)
         for i, t in enumerate(params.tensors()):
@@ -215,7 +217,7 @@ class TestGcnForward:
         samples = [random_sample(rng, n, f, i % 2) for i in range(3)]
         x = np.stack([np.concatenate([s.xa, s.xb], axis=1) for s in samples])
         expected = gcn_logits(params, a_hat, Tensor(x)).cross_entropy_binary([s.label for s in samples])
-        assert sample_loss(params, a_hat, samples).item() == expected.item()
+        assert sample_loss(params, samples).item() == expected.item()
 
 
 # both trainers take GraphSamples and check them alike

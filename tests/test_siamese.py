@@ -51,10 +51,9 @@ def reference_logits(params, xa, xb):
 
 def forward(params, sides):
     """Logits of a list of (xa, xb) pairs through one batched forward."""
-    a_hat = normalize_adjacency(star_adjacency(sides[0][0].shape[0]))
     xa = Tensor(np.stack([s[0] for s in sides]))
     xb = Tensor(np.stack([s[1] for s in sides]))
-    return siamese_forward(params, a_hat, xa, xb).data
+    return siamese_forward(params, xa, xb).data
 
 
 class TestForward:
@@ -88,10 +87,9 @@ class TestForward:
     def test_score_in_unit_interval(self):
         rng = np.random.default_rng(1)
         params = init_siamese_params(rng, 3, 5, readout_dim=4)
-        a_hat = normalize_adjacency(star_adjacency(3))
         sides = [random_sides(rng, 3, 5) for _ in range(10)]
         scores = gcn_score_batch(
-            params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
+            params, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
         )
         assert np.all((scores > 0.0) & (scores < 1.0))
 
@@ -99,7 +97,6 @@ class TestForward:
         rng = np.random.default_rng(2)
         n, f = 4, 5
         params = init_siamese_params(rng, n, f, readout_dim=6)
-        a_hat = normalize_adjacency(star_adjacency(n))
         sides = [random_sides(rng, n, f) for _ in range(5)]
         singles = []
         for xa, xb in sides:
@@ -107,7 +104,7 @@ class TestForward:
             e = np.exp(logits - logits.max())
             singles.append((e / e.sum())[1])
         batched = gcn_score_batch(
-            params, a_hat, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
+            params, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
         )
         assert np.allclose(batched, singles, atol=1e-12)
 
@@ -116,15 +113,14 @@ class TestForward:
         rng = np.random.default_rng(9)
         n, f = 3, 4
         params = init_siamese_params(rng, n, f, readout_dim=5)
-        a_hat = normalize_adjacency(star_adjacency(n))
         samples = [GraphSample(*random_sides(rng, n, f), label=i % 2) for i in range(4)]
-        loss = sample_loss(params, a_hat, samples)
+        loss = sample_loss(params, samples)
         loss.backward()
         grads = [t.grad.copy() for t in params.tensors()]
         for t in params.tensors():
             t.grad = None
         xa, xb = (Tensor(np.stack([getattr(s, side) for s in samples])) for side in ("xa", "xb"))
-        expected = siamese_forward(params, a_hat, xa, xb).cross_entropy_binary([s.label for s in samples])
+        expected = siamese_forward(params, xa, xb).cross_entropy_binary([s.label for s in samples])
         expected.backward()
         assert loss.item() == expected.item()
         for grad, t in zip(grads, params.tensors()):
