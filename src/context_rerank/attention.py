@@ -115,20 +115,14 @@ def verification_loss(s: float, y: int, cfg: VerificationConfig) -> float:
     raise UsageError(f"verification label must be +1 or -1, got {y!r}")
 
 
-def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig, descriptors: Tensor = None) -> Tensor:
+def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig) -> Tensor:
     """Tape-building mean verification loss of the fused similarity over a
-    minibatch of (PartEmbedding, PartEmbedding, y) pairs.
-
-    ``descriptors`` may be passed explicitly (e.g. a requires_grad leaf for
-    gradient checks); its rows must already be in canonical pair order.
-    """
+    minibatch of (PartEmbedding, PartEmbedding, y) pairs."""
     for _, _, y in batch:
         if y not in (1, -1):
             raise UsageError(f"verification label must be +1 or -1, got {y!r}")
     pairs = [order_pair(a, b) for a, b, _ in batch]
-    if descriptors is None:
-        descriptors = Tensor(np.stack([pair_descriptor(a, b) for a, b in pairs]))
-    w = attention_forward(params, descriptors)
+    w = attention_forward(params, Tensor(np.stack([pair_descriptor(a, b) for a, b in pairs])))
     cosines = Tensor(np.stack([part_cosines(a, b) for a, b in pairs]))
     s = (w * cosines).sum(axis=-1)
     # 1 - s for positives (never negative, as s <= 1), max(0, s + margin) for negatives
@@ -137,9 +131,9 @@ def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig, descripto
     return losses.sum().affine(1.0 / len(batch))
 
 
-def build_training_pairs(scenes, rng: np.random.Generator, negative_pool_factor: int = 10):
+def build_training_pairs(scenes, rng: np.random.Generator):
     """All labeled cross-scene same-identity pairs as positives, plus a seeded
-    pool of cross-identity negatives (``negative_pool_factor`` x positives).
+    pool of cross-identity negatives, 10 per positive.
 
     Returns a list of (Instance, Instance, y) with y in {+1, -1}.
     """
@@ -148,7 +142,7 @@ def build_training_pairs(scenes, rng: np.random.Generator, negative_pool_factor:
     if not positives:
         raise DataError("no cross-scene same-identity pairs available for training")
 
-    target = negative_pool_factor * len(positives)
+    target = 10 * len(positives)
     negatives = []
     seen = set()
     n = len(labeled)

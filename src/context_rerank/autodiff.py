@@ -36,13 +36,6 @@ __all__ = [
 ]
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing NumPy broadcasting."""
-    g = g.sum(axis=tuple(range(g.ndim - len(shape)))) if g.ndim > len(shape) else g
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
 class Tensor:
     """A node in the computation tape.
 
@@ -138,23 +131,18 @@ class Tensor:
         return Tensor._result(np.einsum("ij,bjf->bif", a, x), (self,), backward)
 
     def _binary(self, other, op, d_self, d_other):
-        """Elementwise ``op`` with NumPy broadcasting; ``d_self`` and
-        ``d_other`` map the output adjoint to each operand's, before it is
-        summed back to the operand's shape."""
-        try:
-            out = op(self.data, other.data)
-        except ValueError:
-            raise DimensionError(
-                f"elementwise op: shapes {self.data.shape} and {other.data.shape} do not broadcast"
-            ) from None
+        """Elementwise ``op`` on two operands of one shape; ``d_self`` and
+        ``d_other`` map the output adjoint to each operand's."""
+        if self.data.shape != other.data.shape:
+            raise DimensionError(f"elementwise op: shapes {self.data.shape} and {other.data.shape} differ")
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(d_self(g), self.data.shape))
+                self._accumulate(d_self(g))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(d_other(g), other.data.shape))
+                other._accumulate(d_other(g))
 
-        return Tensor._result(out, (self, other), backward)
+        return Tensor._result(op(self.data, other.data), (self, other), backward)
 
     def add(self, other: "Tensor") -> "Tensor":
         return self._binary(other, np.add, lambda g: g, lambda g: g)

@@ -8,6 +8,7 @@ byte-identical outputs. Logs go to stderr, data to stdout or --out files.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import math
 import os
@@ -109,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_defaults = dataio.SynthConfig()
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--out", type=Path, default=None, help="output dataset file")
+    p.add_argument("--out", type=Path, default=_default_data_dir() / "synth.jsonl",
+                   help="output dataset file (default synth.jsonl in $CONTEXT_RERANK_DATA_DIR or .)")
     for flag, (name, help_text) in _GEN_FLAGS.items():
         default = getattr(gen_defaults, name)
         p.add_argument(flag, type=type(default), default=default, help=help_text)
@@ -216,23 +218,20 @@ def _write_or_print(text: str, out: Path):
 def _cmd_gen(args) -> int:
     cfg = dataio.SynthConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
                                 for flag, (name, _) in _GEN_FLAGS.items()})
-    out = args.out or (_default_data_dir() / "synth.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
     dataset = dataio.generate_synthetic(cfg)
-    dataio.save_dataset(dataset, out)
+    dataio.save_dataset(dataset, args.out)
     report = dataio.validate(dataset)
     for key, value in report.items():
         log.info("gen: %s=%s", key, value)
     for w in report["warnings"]:
         log.warning("gen: %s", w)
-    log.info("gen: wrote %s", out)
+    log.info("gen: wrote %s", args.out)
     return 0
 
 
 def _cmd_train_attn(args) -> int:
     cfg = _sgd_config(args)
     verification = VerificationConfig(margin=args.margin)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     dataset = dataio.load_dataset(args.data)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
@@ -246,7 +245,6 @@ def _cmd_train_gcn(args) -> int:
     if not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
         raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
     cfg = _sgd_config(args)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     dataset = dataio.load_dataset(args.data)
     attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
@@ -344,6 +342,11 @@ def run(argv=None) -> int:
             value = getattr(args, dest)
             if value is not None and value < least:
                 raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+        for path in (getattr(args, "out", None), getattr(args, "per_query", None)):
+            if path is not None:  # before any work: make the parent, refuse a directory
+                path.parent.mkdir(parents=True, exist_ok=True)
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         log.error("missing file: %s", e)

@@ -59,17 +59,11 @@ def test_elementwise_gradients_match_finite_differences():
     assert max_rel_error(x.grad, num_x) < 1e-6
 
 
-def test_broadcast_gradients_sum_back_to_operand_shapes():
-    rng = np.random.default_rng(4)
-    xv, yv = rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 4)
-    x = Tensor(xv, requires_grad=True)
-    y = Tensor(yv, requires_grad=True)
-    (x * y - y + x).sum().backward()
-    assert x.grad.shape == (3, 4) and y.grad.shape == (4,)
-    assert np.allclose(x.grad, yv + 1.0)
-    assert np.allclose(y.grad, xv.sum(axis=0) - 3.0)
-    with pytest.raises(DimensionError):
-        Tensor(np.zeros((3, 4))) + Tensor(np.zeros(3))
+def test_elementwise_ops_refuse_operands_of_two_shapes():
+    with pytest.raises(DimensionError, match=r"\(3, 4\).*\(4,\)"):
+        Tensor(np.zeros((3, 4))) + Tensor(np.zeros(4))
+    with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 1\)"):
+        Tensor(np.zeros((3, 4))) * Tensor(np.zeros((3, 1)))
 
 
 def test_stacked_matmul_matches_per_matrix_products():

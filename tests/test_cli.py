@@ -304,16 +304,31 @@ class TestEvalAndRerank:
     (["train-attn", "--data", "{data}", "--out", "{data}/x.ckpt"] + TRAIN_ARGS, "{data}"),
     (["train-gcn", "--data", "{data}", "--attn", "{attn}", "--out", "{data}/x.ckpt", "--epochs", "1"], "{data}"),
     (GEN_ARGS + ["--out", "{data}/ds.jsonl"], "{data}"),
+    (["eval", "--scorer", "uniform", "--data", "{missing}", "--out", "{data}/x.csv"], "{data}"),
+    (["eval", "--scorer", "uniform", "--data", "{missing}", "--per-query", "{data}/pq.csv"], "{data}"),
+    (["sweep", "--scorer", "uniform", "--data", "{missing}", "--out", "{data}/x.csv"], "{data}"),
+    (["rerank", "--probe", "p", "--scorer", "uniform", "--data", "{missing}", "--out", "{data}/x.csv"], "{data}"),
+    (["train-attn", "--data", "{missing}", "--out", "{dir}"], "{dir}"),
 ], ids=["eval_out_dir", "eval_data_dir", "eval_attn_dir", "train_attn_out_under_file",
-        "train_gcn_out_under_file", "gen_out_under_file"])
+        "train_gcn_out_under_file", "gen_out_under_file", "eval_out_under_file_no_data",
+        "eval_per_query_under_file_no_data", "sweep_out_under_file_no_data",
+        "rerank_out_under_file_no_data", "train_attn_out_dir_no_data"])
 def test_unusable_path_exits_3_naming_it(workspace, tmp_path, caplog, argv, named):
     # a directory where a file is read or written, or a file where a directory must be;
-    # an unusable --out is reported before any training epoch
+    # an unusable output is reported before any input is read and before any training epoch
     caplog.set_level(logging.INFO)
-    paths = {"data": workspace["data"], "attn": workspace["attn"], "dir": tmp_path}
+    paths = {"data": workspace["data"], "attn": workspace["attn"], "dir": tmp_path,
+             "missing": tmp_path / "missing.jsonl"}
     assert run([a.format(**paths) for a in argv]) == 3
     assert f"cannot use path {named.format(**paths)}" in caplog.text
     assert " epoch " not in caplog.text
+
+
+def test_missing_output_directory_is_made(workspace, tmp_path):
+    out = tmp_path / "new" / "x.csv"
+    assert run(["eval", "--data", str(workspace["data"]), "--scorer", "uniform", "--gallery-size", "5",
+                "--max-queries", "4", "--out", str(out)]) == 0
+    assert out.read_text().startswith("scorer,")
 
 
 def with_missing_inputs(tmp_path, argv):
