@@ -444,7 +444,8 @@ class ParamSet:
     Entries are named ``<PREFIX>/<field>`` and ``<PREFIX>/layer<i>`` and
     written in field order. Every entry is 2-D and finite, every entry under
     the prefix is read, and ``expected_shapes`` holds the class's rule for
-    how their shapes fit together.
+    how their shapes fit together. Loaded entries are constants: a forward
+    on them records no tape.
     """
 
     PREFIX = ""
@@ -477,7 +478,7 @@ class ParamSet:
                 raise DataError(f"checkpoint entry {name!r} has shape {entries[name].shape}, expected 2-D")
             if not np.isfinite(entries[name]).all():
                 raise DataError(f"checkpoint entry {name!r} holds a non-finite value")
-            return Tensor(entries[name], requires_grad=True)
+            return Tensor(entries[name])
 
         values = {}
         for f in fields(cls):

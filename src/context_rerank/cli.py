@@ -68,10 +68,6 @@ _GEN_FLAGS = {
 }
 
 
-def _default_data_dir() -> Path:
-    return Path(os.environ.get("CONTEXT_RERANK_DATA_DIR", "."))
-
-
 def _add_sgd_flags(p):
     p.add_argument("--lr", type=float, default=0.1, help="initial learning rate (default 0.1)")
     p.add_argument("--epochs", type=int, default=20, help="training epochs (default 20)")
@@ -79,12 +75,6 @@ def _add_sgd_flags(p):
                    help="epoch after which the learning rate is halved (default 10; 0 disables)")
     p.add_argument("--batch-size", type=int, default=32, help="mini-batch size (default 32)")
     p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-
-
-def _sgd_config(args) -> SgdConfig:
-    schedule = ((args.lr_drop_epoch, 0.5),) if args.lr_drop_epoch > 0 else ()
-    return SgdConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
-                     batch_size=args.batch_size, schedule=schedule)
 
 
 def _add_context_k_flag(p, default=DEFAULT_K):
@@ -110,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen_defaults = dataio.SynthConfig()
     p = sub.add_parser("gen", help="generate a synthetic dataset")
-    p.add_argument("--out", type=Path, default=_default_data_dir() / "synth.jsonl",
-                   help="output dataset file (default synth.jsonl in $CONTEXT_RERANK_DATA_DIR or .)")
+    p.add_argument("--out", type=Path, default=Path("synth.jsonl"),
+                   help="output dataset file (default synth.jsonl)")
     for flag, (name, help_text) in _GEN_FLAGS.items():
         default = getattr(gen_defaults, name)
         p.add_argument(flag, type=type(default), default=default, help=help_text)
@@ -167,6 +157,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _build_configs(args) -> None:
+    """Build, and so check, what the command makes of its option values before
+    it touches the disk (``args.synth``, ``args.sgd``, ``args.verification``
+    and the ``args.sizes`` list); the commands use what is built here."""
+    if args.command == "gen":
+        args.synth = dataio.SynthConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
+                                           for flag, (name, _) in _GEN_FLAGS.items()})
+    if args.command == "train-gcn" and not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
+        raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
+    if args.command in ("train-attn", "train-gcn"):
+        schedule = ((args.lr_drop_epoch, 0.5),) if args.lr_drop_epoch > 0 else ()
+        args.sgd = SgdConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
+                             batch_size=args.batch_size, schedule=schedule)
+    if args.command == "train-attn":
+        args.verification = VerificationConfig(margin=args.margin)
+    if args.command == "sweep":
+        try:
+            args.sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        except ValueError as e:
+            raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from e
+        if not args.sizes:
+            raise ConfigError("--sizes is empty")
+        if min(args.sizes) < 1:
+            raise ConfigError(f"--sizes must be >= 1, got {min(args.sizes)}")
+    scorer = getattr(args, "scorer", None)
+    if scorer in ("attention", "graph", "siamese") and args.attn is None:
+        raise UsageError("this scorer needs --attn (trained attention checkpoint)")
+    if scorer in ("graph", "siamese") and args.gcn is None:
+        raise UsageError(f"scorer {scorer!r} needs --gcn (trained graph checkpoint)")
+
+
 def _load_params(cls, path, flag):
     """The ``cls`` parameters in the checkpoint that ``flag`` names; a
     checkpoint of another model kind is a usage error, and one whose entries
@@ -182,8 +203,6 @@ def _load_params(cls, path, flag):
 
 
 def _load_attention(path, dataset) -> AttentionParams:
-    if path is None:
-        raise UsageError("this scorer needs --attn (trained attention checkpoint)")
     attn = _load_params(AttentionParams, path, "--attn")
     if attn.dim != dataset.d:
         raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
@@ -200,8 +219,6 @@ def _make_scorer(args, dataset):
     attn = _load_attention(args.attn, dataset)
     if args.scorer == "attention":
         return AttentionScorer(attn)
-    if args.gcn is None:
-        raise UsageError(f"scorer {args.scorer!r} needs --gcn (trained graph checkpoint)")
     kw = dict(k=args.context_k, seed=args.seed)
     if args.scorer == "graph":
         return GraphScorer(attn, _load_params(GcnParams, args.gcn, "--gcn"), **kw)
@@ -216,9 +233,7 @@ def _write_or_print(text: str, out: Path):
 
 
 def _cmd_gen(args) -> int:
-    cfg = dataio.SynthConfig(**{name: getattr(args, flag[2:].replace("-", "_"))
-                                for flag, (name, _) in _GEN_FLAGS.items()})
-    dataset = dataio.generate_synthetic(cfg)
+    dataset = dataio.generate_synthetic(args.synth)
     dataio.save_dataset(dataset, args.out)
     report = dataio.validate(dataset)
     for key, value in report.items():
@@ -230,21 +245,16 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train_attn(args) -> int:
-    cfg = _sgd_config(args)
-    verification = VerificationConfig(margin=args.margin)
     dataset = dataio.load_dataset(args.data)
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
-    params = train_attention(pairs, cfg, verification, hidden=args.hidden, neg_ratio=args.neg_ratio)
+    params = train_attention(pairs, args.sgd, args.verification, hidden=args.hidden, neg_ratio=args.neg_ratio)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-attn: wrote %s", args.out)
     return 0
 
 
 def _cmd_train_gcn(args) -> int:
-    if not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
-        raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
-    cfg = _sgd_config(args)
     dataset = dataio.load_dataset(args.data)
     attn = _load_attention(args.attn, dataset)
     attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
@@ -253,7 +263,7 @@ def _cmd_train_gcn(args) -> int:
         max_positives=args.max_positives,
     )
     train = train_gcn if args.mode == "paired" else train_siamese
-    params = train(samples, cfg)
+    params = train(samples, args.sgd)
     save_checkpoint(args.out, params.to_entries())
     log.info("train-gcn: wrote %s", args.out)
     return 0
@@ -297,18 +307,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as e:
-        raise ConfigError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from e
-    if not sizes:
-        raise ConfigError("--sizes is empty")
-    if min(sizes) < 1:
-        raise ConfigError(f"--sizes must be >= 1, got {min(sizes)}")
     dataset = dataio.load_dataset(args.data)
     scorer = _make_scorer(args, dataset)
     queries = select_queries(dataset.scenes, max_queries=args.max_queries, seed=args.seed)
-    reports = gallery_sweep(sizes, queries, dataset.scenes, scorer, seed=args.seed)
+    reports = gallery_sweep(args.sizes, queries, dataset.scenes, scorer, seed=args.seed)
     _write_or_print(reports_csv(reports), args.out)
     return 0
 
@@ -342,6 +344,7 @@ def run(argv=None) -> int:
             value = getattr(args, dest)
             if value is not None and value < least:
                 raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
+        _build_configs(args)
         for path in (getattr(args, "out", None), getattr(args, "per_query", None)):
             if path is not None:  # before any work: make the parent, refuse a directory
                 path.parent.mkdir(parents=True, exist_ok=True)

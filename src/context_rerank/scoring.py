@@ -4,12 +4,11 @@ A scorer exposes ``name`` and ``score_gallery(probe_scene, probe,
 gallery_scenes)``, which returns (instance, score) for every person of the
 gallery: scene order, then instance order within each scene.
 ``score_scene(probe_scene, probe, gallery_scene)`` is the same for one
-scene. Scorers do not change their parameters, and the same sequence of
-calls gives the same bits. The attention scorer keeps a memo of the last
-probe side, which a call replaces whole and never edits; a score computed
-from the memo can differ from a fresh scorer's in the last bits, because
-BLAS groups the rows differently (``test_probe_memo_matches_fresh_scorer``
-bounds the difference at 1e-12).
+scene. Scorers do not change their parameters, and a score depends only on
+the call's inputs: the same call gives the same bits, whatever came before
+it. The attention scorer keeps the first-layer rows of the last probe side,
+which a call replaces whole and never edits, and computes them in the same
+product whether it keeps them or not.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from .attention import AttentionParams, attention_head, slot_projections
 from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
-from .errors import UsageError
+from .errors import ConfigError, UsageError
 from .expansion import member_index, pair_rng, scene_contexts
 from .graph import GcnParams, gcn_score_batch, node_features
 
@@ -78,22 +77,25 @@ class AttentionScorer(Scorer):
     def pair_matrix(self, probe_insts, gallery_insts) -> np.ndarray:
         """All cross-pair similarities, canonical pair order applied per pair.
 
-        The first layer runs once per (person, slot) row, in one product
-        with ``w1`` per call, and a pair's pre-activation sums the rows of
-        its two persons. A gallery person gets rows only for the slots its
-        pairs use. The probe side's parts, keys and rows for both slots are
-        kept for the next call with the same persons (the same objects).
+        The first layer runs once per (person, slot) row, and a pair's
+        pre-activation sums the rows of its two persons. The probe side's
+        rows for both slots come from one product with ``w1``, kept with its
+        parts and keys for the next call with the same persons (the same
+        objects); the gallery rows come from a product of their own, with
+        rows only for the slots a gallery person's pairs use. A kept probe
+        side and a fresh one are the same product, so a call gives the same
+        bits whatever came before it.
         """
         n_p, n_g = len(probe_insts), len(gallery_insts)
         if not n_p or not n_g:
             return np.zeros((n_p, n_g))
         side = self._probe_side
         if side is None or len(side[0]) != n_p or not all(map(operator.is_, side[0], probe_insts)):
-            side = None
             probe_parts = np.array([i.embedding.parts for i in probe_insts])
-            probe_keys = [i.embedding.key() for i in probe_insts]
-        else:
-            _, probe_parts, probe_keys, probe_rows = side
+            probe_rows = slot_projections(self.params, probe_parts, probe_parts) + self.params.b1.data.reshape(-1)
+            side = self._probe_side = (tuple(probe_insts), probe_parts,
+                                       [i.embedding.key() for i in probe_insts], probe_rows)
+        _, probe_parts, probe_keys, probe_rows = side
         parts = np.array([i.embedding.parts for i in gallery_insts])
         gallery_keys = [i.embedding.key() for i in gallery_insts]
         # order_pair: the probe takes the first slot where its key is not the larger
@@ -102,15 +104,7 @@ class AttentionScorer(Scorer):
         slots = [(not all(col), any(col)) for col in zip(*first)]
         first_rows = [j for j, (f, _) in enumerate(slots) if f]
         second_rows = [j for j, (_, s) in enumerate(slots) if s]
-        if side is None:
-            # rows: probe first slot, gallery first slot, gallery second slot, probe second slot
-            proj = slot_projections(self.params, np.concatenate([probe_parts, parts[first_rows]]),
-                                    np.concatenate([parts[second_rows], probe_parts]))
-            probe_rows = np.concatenate([proj[:n_p], proj[-n_p:]]) + self.params.b1.data.reshape(-1)
-            self._probe_side = (tuple(probe_insts), probe_parts, probe_keys, probe_rows)
-            proj = proj[n_p:-n_p]
-        else:
-            proj = slot_projections(self.params, parts[first_rows], parts[second_rows])
+        proj = slot_projections(self.params, parts[first_rows], parts[second_rows])
         # each pair's gallery row in proj, and its probe row (person i in the
         # first slot is row i, in the second row n_p + i)
         in_first = {j: n for n, j in enumerate(first_rows)}
@@ -154,16 +148,17 @@ class AttentionScorer(Scorer):
 class _ContextScorerBase(Scorer):
     """Shared expansion machinery of the graph-based scorers: every target
     gets its K context pairs, and ``gcn_score_batch`` runs ``params``' model
-    on them. ``k=None`` takes K from the parameters' shapes, which also fix
-    Â; another K fails in the readout's width check."""
+    on them. K comes from the parameters' shapes, which also fix Â; a ``k``
+    that does not fit them is refused here, before any scoring."""
 
     def __init__(self, attn_params: AttentionParams, params: GcnParams, k: int = None, seed: int = 0):
-        k = params.n_nodes - 1 if k is None else k
-        if k < 1:
-            raise UsageError(f"context K must be >= 1, got {k}")
+        if k is not None and k + 1 != params.n_nodes:
+            raise ConfigError(f"context K={k} gives graphs of {k + 1} nodes but the readout expects {params.n_nodes}")
+        if params.n_nodes < 2:
+            raise UsageError(f"context K must be >= 1, got {params.n_nodes - 1}")
         self.attn = AttentionScorer(attn_params)
         self.params = params
-        self.k = k
+        self.k = params.n_nodes - 1
         self.seed = seed
 
     def score_gallery(self, probe_scene, probe, gallery_scenes):

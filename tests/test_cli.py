@@ -332,12 +332,15 @@ def test_missing_output_directory_is_made(workspace, tmp_path):
 
 
 def with_missing_inputs(tmp_path, argv):
-    """``argv`` plus its command's required paths: input files that do not
-    exist, and an output file ``tmp_path / "out"``. A missing dataset would
-    exit 3, so exit 2 shows that a check came first."""
-    paths = {"--data": tmp_path / "missing.jsonl", "--out": tmp_path / "out", "--attn": tmp_path / "missing.ckpt"}
+    """``argv`` plus its command's required paths, input files that do not
+    exist, and an output file ``tmp_path / "new" / "out"`` where the command
+    has one. A missing dataset would exit 3, so exit 2 shows that a check
+    came first; a rejected command must not make the new directory."""
+    paths = {"--data": tmp_path / "missing.jsonl", "--out": tmp_path / "new" / "out",
+             "--attn": tmp_path / "missing.ckpt"}
     required = {"gen": ["--out"], "train-attn": ["--data", "--out"], "train-gcn": ["--data", "--attn", "--out"],
-                "eval": ["--data"], "sweep": ["--data"], "rerank": ["--data"], "gradcheck": []}[argv[0]]
+                "eval": ["--data", "--out"], "sweep": ["--data", "--out"], "rerank": ["--data", "--out"],
+                "gradcheck": []}[argv[0]]
     return argv + [a for f in required for a in (f, str(paths[f]))]
 
 
@@ -360,7 +363,7 @@ def test_out_of_range_count_exits_2_before_any_work(tmp_path, caplog, argv):
     flag, value = argv[-2], argv[-1]
     assert run(with_missing_inputs(tmp_path, argv)) == 2
     assert f"{flag} must be >= 1, got {value}" in caplog.text
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "new").exists()
 
 
 BAD_VALUES = [
@@ -378,6 +381,10 @@ BAD_VALUES = [
     *[([command, "--lr-drop-epoch", "-3"], "--lr-drop-epoch must be >= 0, got -3")
       for command in ("train-attn", "train-gcn")],
     (["train-attn", "--margin", "2"], "margin must be in [0, 1), got 2.0"),
+    (["train-attn", "--epochs", "0"], "epochs must be >= 1, got 0"),
+    (["gen", "--co-travel-prob", "2"], "co_travel_prob must be in [0, 1], got 2.0"),
+    (["eval", "--scorer", "attention"], "this scorer needs --attn"),
+    (["rerank", "--probe", "p", "--attn", "missing.ckpt"], "scorer 'graph' needs --gcn"),
     (["sweep", "--sizes", "0,5"], "--sizes must be >= 1, got 0"),
     *[(["gen", "--lookalike-group", v], f"lookalike_group must be positive, got {v}") for v in ("0", "-2")],
 ]
@@ -387,7 +394,7 @@ BAD_VALUES = [
 def test_bad_value_exits_2_before_any_work(tmp_path, caplog, argv, message):
     assert run(with_missing_inputs(tmp_path, argv)) == 2
     assert message in caplog.text
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "new").exists()
 
 
 def test_neg_ratio_without_negatives_exits_2(workspace, tmp_path, caplog):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from context_rerank.attention import attention_weights_batch, init_attention_params, order_pair, pair_descriptor
+from context_rerank.attention import (
+    AttentionParams,
+    attention_forward,
+    attention_weights_batch,
+    init_attention_params,
+    order_pair,
+    pair_descriptor,
+)
+from context_rerank.autodiff import Tensor
+from context_rerank.dataio import SynthConfig, generate_synthetic
 from context_rerank.embeddings import (
     Instance,
     PartEmbedding,
@@ -11,7 +20,9 @@ from context_rerank.embeddings import (
 )
 from context_rerank.evaluation import rank_gallery
 from context_rerank.expansion import expand
+from context_rerank.errors import ConfigError
 from context_rerank.graph import (
+    GcnParams,
     build_graph,
     gcn_forward,
     gcn_score_batch,
@@ -26,7 +37,7 @@ from context_rerank.scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from context_rerank.siamese import init_siamese_params
+from context_rerank.siamese import SiameseParams, init_siamese_params
 
 
 def make_instance(iid, scene_id, identity=None, d=8):
@@ -129,7 +140,16 @@ class TestAttentionScorer:
         for probes in (ps.instances, other.instances, ps.instances, [ps.instances[1]], twin.instances, ps.instances):
             for gallery in (gs.instances, other.instances):
                 expected = AttentionScorer(params).pair_matrix(probes, gallery)
-                assert np.allclose(scorer.pair_matrix(probes, gallery), expected, rtol=0.0, atol=1e-12)
+                assert np.array_equal(scorer.pair_matrix(probes, gallery), expected)
+        # generated scenes and a wide first layer: enough rows that BLAS
+        # grouping them differently changes last bits
+        scenes = generate_synthetic(SynthConfig(seed=3)).scenes[:40]
+        params = init_attention_params(np.random.default_rng(0), 64, hidden=512)
+        scorer = AttentionScorer(params)
+        for probe_scene in scenes[:4]:
+            for gallery_scene in scenes:
+                expected = AttentionScorer(params).pair_matrix(probe_scene.instances, gallery_scene.instances)
+                assert np.array_equal(scorer.pair_matrix(probe_scene.instances, gallery_scene.instances), expected)
 
     def test_pair_matrix_shape_and_symmetry(self, scene_pair):
         ps, gs = scene_pair
@@ -178,6 +198,31 @@ class TestGraphScorer:
         [(inst, score)] = scorer.score_scene(ps, ps.instances[0], gs)
         expected = (AttentionScorer(attn).pair_score(ps.instances[0], inst) + 1.0) / 2.0
         assert score == pytest.approx(expected, abs=1e-12)
+
+
+    @pytest.mark.parametrize("scorer_class, init", [(GraphScorer, init_gcn_params),
+                                                     (SiameseScorer, init_siamese_params)],
+                             ids=["graph", "siamese"])
+    def test_k_that_does_not_fit_the_parameters_is_refused_when_built(self, scorer_class, init):
+        rng = np.random.default_rng(6)
+        attn = init_attention_params(rng, 8, hidden=6)
+        params = init(rng, 3, 8, readout_dim=5)
+        assert scorer_class(attn, params, k=2).k == scorer_class(attn, params).k == 2
+        for k in (1, 5):
+            with pytest.raises(ConfigError, match="readout expects 3"):
+                scorer_class(attn, params, k=k)
+
+
+def test_loaded_parameters_are_constants_and_their_forwards_link_no_parents():
+    rng = np.random.default_rng(10)
+    attn = AttentionParams.from_entries(init_attention_params(rng, 8, hidden=6).to_entries())
+    gcn = GcnParams.from_entries(init_gcn_params(rng, 3, 16, readout_dim=5).to_entries())
+    siam = SiameseParams.from_entries(init_siamese_params(rng, 3, 8, readout_dim=5).to_entries())
+    assert not any(t.requires_grad for params in (attn, gcn, siam) for t in params.tensors())
+    sides = [Tensor(rng.standard_normal((2, 3, 8))) for _ in range(2)]
+    for out in (attention_forward(attn, Tensor(rng.standard_normal((5, 64)))), gcn.logits(*sides),
+                siam.logits(*sides)):
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 class TestSiameseScorer:
