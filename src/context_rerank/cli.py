@@ -205,7 +205,7 @@ def _load_params(cls, path, flag):
 def _load_attention(path, dataset) -> AttentionParams:
     attn = _load_params(AttentionParams, path, "--attn")
     if attn.dim != dataset.d:
-        raise DataError(f"attention checkpoint is for d={attn.dim}, dataset has d={dataset.d}")
+        raise DataError(f"attention checkpoint {path} is for d={attn.dim}, dataset has d={dataset.d}")
     return attn
 
 
@@ -219,10 +219,12 @@ def _make_scorer(args, dataset):
     attn = _load_attention(args.attn, dataset)
     if args.scorer == "attention":
         return AttentionScorer(attn)
-    kw = dict(k=args.context_k, seed=args.seed)
-    if args.scorer == "graph":
-        return GraphScorer(attn, _load_params(GcnParams, args.gcn, "--gcn"), **kw)
-    return SiameseScorer(attn, _load_params(SiameseParams, args.gcn, "--gcn"), **kw)
+    scorer, cls = (GraphScorer, GcnParams) if args.scorer == "graph" else (SiameseScorer, SiameseParams)
+    params = _load_params(cls, args.gcn, "--gcn")
+    if params.layers[0].shape[0] != cls.NODE_SIDES * dataset.d:
+        raise DataError(f"graph checkpoint {args.gcn} takes node features of width {params.layers[0].shape[0]}, "
+                        f"dataset has d={dataset.d} (width {cls.NODE_SIDES * dataset.d})")
+    return scorer(attn, params, k=args.context_k, seed=args.seed)
 
 
 def _write_or_print(text: str, out: Path):

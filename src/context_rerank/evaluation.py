@@ -119,18 +119,20 @@ def _sample_gallery(query: Instance, probe_scene: Scene, scenes, gallery_size: i
     return positives + distractors
 
 
+def _check_gallery_size(gallery_size: int, scenes) -> None:
+    if gallery_size < 1:
+        raise ConfigError(f"gallery_size must be >= 1, got {gallery_size}")
+    if gallery_size > len(scenes):
+        raise ConfigError(f"gallery_size {gallery_size} exceeds corpus of {len(scenes)} scenes")
+
+
 def evaluate(queries, scenes, scorer, gallery_size: int, seed: int = 0) -> EvalReport:
     """mAP and top-1 over seeded scene-level galleries.
 
     ``queries`` holds (probe_scene, instance) tuples; queries without any
     cross-scene positive are counted as excluded, never silently dropped.
     """
-    if gallery_size < 1:
-        raise ConfigError(f"gallery_size must be >= 1, got {gallery_size}")
-    if gallery_size > len(scenes):
-        raise ConfigError(
-            f"gallery_size {gallery_size} exceeds corpus of {len(scenes)} scenes"
-        )
+    _check_gallery_size(gallery_size, scenes)
     aps = []
     top1_hits = 0
     excluded = 0
@@ -161,7 +163,9 @@ def evaluate(queries, scenes, scorer, gallery_size: int, seed: int = 0) -> EvalR
 
 
 def gallery_sweep(sizes, queries, scenes, scorer, seed: int = 0):
-    """One EvalReport per gallery size."""
+    """One EvalReport per gallery size; every size is checked before any query is ranked."""
+    for size in sizes:
+        _check_gallery_size(size, scenes)
     return [evaluate(queries, scenes, scorer, size, seed=seed) for size in sizes]
 
 

@@ -14,8 +14,8 @@ import numpy as np
 from .attention import VerificationConfig, init_attention_params, pair_loss
 from .autodiff import Tensor, max_rel_error, numeric_gradient, relu_kink_distance
 from .embeddings import PartEmbedding, R_PARTS
-from .graph import init_gcn_params
-from .siamese import init_siamese_params
+from .graph import GcnParams
+from .siamese import SiameseParams
 
 FD_STEP = 1e-5
 KINK_MARGIN = 1e-3
@@ -134,17 +134,17 @@ def gradcheck_attention(n_trials: int = 100, seed: int = 15) -> float:
     return _with_resampling(make_trial, n_trials, seed)
 
 
-def _graph_suite(init, sides: int, n_trials: int, seed: int) -> float:
+def _graph_suite(cls, n_trials: int, seed: int) -> float:
     """A graph model on a minibatch of 1-4 pairs with mixed labels:
     propagation, readout, classifier, mean cross-entropy; gradients w.r.t.
     all parameters and both sides' node features. The parameters are
-    ``init(rng, n, sides * f)`` for graphs of n nodes with f features a side."""
+    ``cls.init(rng, n, cls.NODE_SIDES * f)`` for n nodes, f features a side."""
 
     def make_trial(rng):
         n = int(rng.integers(2, 5))
         f = int(rng.integers(2, 5))
         b = int(rng.integers(1, 5))
-        params = init(rng, n, sides * f, readout_dim=int(rng.integers(3, 7)))
+        params = cls.init(rng, n, cls.NODE_SIDES * f, readout_dim=int(rng.integers(3, 7)))
         xa = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
         xb = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
         labels = rng.integers(0, 2, size=b)
@@ -155,12 +155,12 @@ def _graph_suite(init, sides: int, n_trials: int, seed: int) -> float:
 
 def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
     """The paired GCN, which reads both sides next to each other."""
-    return _graph_suite(init_gcn_params, 2, n_trials, seed)
+    return _graph_suite(GcnParams, n_trials, seed)
 
 
 def gradcheck_siamese(n_trials: int = 100, seed: int = 17) -> float:
     """The siamese baseline: one shared branch per side, concatenated readouts."""
-    return _graph_suite(init_siamese_params, 1, n_trials, seed)
+    return _graph_suite(SiameseParams, n_trials, seed)
 
 
 def run_all(n_trials: int = 100, seed: int = 0) -> dict:

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform, multiple_of
 from .embeddings import WHOLE, labeled_pairs
 from .errors import ConfigError, DataError, DimensionError, UsageError
-from .expansion import DEFAULT_K, ExpandedPair, expand
+from .expansion import DEFAULT_K, ExpandedPair, member_index, scene_contexts
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +54,30 @@ def node_features(insts) -> np.ndarray:
 
 
 def side_matrices(ep: ExpandedPair):
-    """Node feature matrices (probe side, gallery side), each (K+1, f), of
-    an expanded pair: the target pair in row 0, then the context pairs."""
+    """Node feature matrices (probe side, gallery side), each (K+1, f), of an expanded pair: the
+    target pair in row 0, then the context pairs (the per-target reference of ``context_sides``)."""
     pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
     xa, xb = np.split(node_features([a for a, _ in pairs] + [b for _, b in pairs]), 2)
     return xa, xb
+
+
+def context_sides(table: np.ndarray, probe_scene, probe_row: int, gallery_scene,
+                  k: int = DEFAULT_K, seed: int = 0):
+    """The graphs of the probe, person ``probe_row`` of ``probe_scene``, with
+    the contexts ``scene_contexts`` picks from ``table``: (cols, xa, xb), the
+    indices of the persons of ``gallery_scene`` that have context, in scene
+    order, and their stacked (len(cols), K+1, f) probe-side and gallery-side
+    node features, the target pair in row 0."""
+    n_p = len(probe_scene.instances)
+    feats = node_features((*probe_scene.instances, *gallery_scene.instances))
+    cols, side_a, side_b = [], [], []
+    for t, chosen in enumerate(scene_contexts(table, probe_scene, probe_row, gallery_scene, k, seed)):
+        if chosen is not None:
+            cols.append(t)
+            side_a.append([probe_row] + [p for p, _ in chosen])
+            side_b.append([n_p + t] + [n_p + g for _, g in chosen])
+    index = np.array([side_a, side_b], dtype=int).reshape(2, len(cols), k + 1)
+    return cols, feats[index[0]], feats[index[1]]
 
 
 @dataclass(frozen=True)
@@ -70,7 +89,7 @@ class ContextGraph:
 
 @dataclass(frozen=True)
 class GraphSample:
-    """A labeled target of either graph model: its ``side_matrices``."""
+    """A labeled target of either graph model: its two sides' node features."""
 
     xa: np.ndarray  # (K+1, f) probe-side node features, target in row 0
     xb: np.ndarray  # (K+1, f) gallery-side node features
@@ -78,7 +97,7 @@ class GraphSample:
 
 
 def samples_from_expansions(expansions):
-    """Turn (ExpandedPair, label) tuples into GraphSamples."""
+    """(ExpandedPair, label) tuples as GraphSamples: the per-target reference of ``build_graph_samples``."""
     return [GraphSample(*side_matrices(ep), label=label) for ep, label in expansions]
 
 
@@ -98,6 +117,7 @@ def build_graph(ep: ExpandedPair) -> ContextGraph:
 class GcnParams(ParamSet):
     PREFIX = "gcn"
     READOUTS = 1  # readouts the classifier sees side by side
+    NODE_SIDES = 2  # sides a node's features hold: the paired GCN reads both side by side
 
     layers: list  # L Tensors, each (f, f)
     readout_w: Tensor  # (1024, N*f)
@@ -199,10 +219,10 @@ def sample_loss(params: GcnParams, samples) -> Tensor:
     return params.logits(xa, xb).cross_entropy_binary([s.label for s in samples])
 
 
-def fit_graph_model(samples, cfg: SgdConfig, init, epoch_losses=None):
+def fit_graph_model(samples, cfg: SgdConfig, cls, epoch_losses=None):
     """Check the GraphSamples (both labels, one side shape (N, f)), then fit
-    ``init(rng, N, f)`` on ``sample_loss``; the parameters' shapes fix K
-    and Â. Deterministic per seed."""
+    ``cls.init(rng, N, cls.NODE_SIDES * f)`` on ``sample_loss``; the
+    parameters' shapes fix K and Â. Deterministic per seed."""
     if not samples:
         raise DataError("no graph samples to train on")
     labels = {s.label for s in samples}
@@ -213,50 +233,37 @@ def fit_graph_model(samples, cfg: SgdConfig, init, epoch_losses=None):
         raise DataError(f"all graph samples must share K; found node shapes {sorted(shapes)}")
     n, f = samples[0].xa.shape
     rng = np.random.default_rng(cfg.seed)
-    params = init(rng, n, f)
+    params = cls.init(rng, n, cls.NODE_SIDES * f)
     fit(params, cfg, rng, lambda rng: samples, lambda batch: sample_loss(params, batch), epoch_losses)
     return params
 
 
 def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     """Binary cross-entropy training of the paired GCN over GraphSamples."""
-    return fit_graph_model(samples, cfg, lambda rng, n, f: init_gcn_params(rng, n, 2 * f), epoch_losses)
+    return fit_graph_model(samples, cfg, GcnParams, epoch_losses)
 
 
-def build_labeled_expansions(
-    scenes,
-    attn_scorer,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-    neg_ratio: float = 1.0,
-    max_positives: int = None,
-):
-    """Labeled (ExpandedPair, label) training targets.
+def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = 1.0, max_positives: int = None):
+    """Labeled ((probe, gallery), label) training targets.
 
     Every same-identity cross-scene pair becomes a positive, plus a seeded
-    sample of different-identity pairs. Targets with zero context candidates
-    are skipped, mirroring the training exclusion rule for single-person
-    scenes.
+    sample of different-identity pairs. A target with a person alone in its
+    scene has no context candidate and is skipped, mirroring the training
+    exclusion rule for single-person scenes.
     """
     rng = np.random.default_rng((seed, 0x6C7))
     scene_of = {s.scene_id: s for s in scenes}
     labeled, positive_pairs = labeled_pairs(scenes)
 
-    def make_expansion(a, b):
-        ep = expand(scene_of[a.scene_id], a, scene_of[b.scene_id], b, attn_scorer, k=k, seed=seed)
-        return None if ep.degenerate else ep
+    def has_context(*persons):
+        return all(len(scene_of[p.scene_id].instances) > 1 for p in persons)
 
     if max_positives is not None and len(positive_pairs) > max_positives:
         idx = rng.choice(len(positive_pairs), size=max_positives, replace=False)
         positive_pairs = [positive_pairs[i] for i in sorted(idx)]
 
-    expansions = []
-    for a, b in positive_pairs:
-        ep = make_expansion(a, b)
-        if ep is not None:
-            expansions.append((ep, 1))
-
-    n_pos = len(expansions)
+    targets = [((a, b), 1) for a, b in positive_pairs if has_context(a, b)]
+    n_pos = len(targets)
     target_neg = int(round(neg_ratio * n_pos))
     if n_pos and not target_neg:
         raise ConfigError(f"--neg-ratio {neg_ratio} gives no negative for {n_pos} positive targets")
@@ -268,17 +275,12 @@ def build_labeled_expansions(
     for a, b in positive_pairs:
         if n_neg >= target_neg // 2:
             break
-        decoys = [
-            c
-            for c in scene_of[b.scene_id].instances
-            if c.identity is not None and c.identity != a.identity
-        ]
+        decoys = [c for c in scene_of[b.scene_id].instances if c.identity is not None and c.identity != a.identity]
         if not decoys:
             continue
         c = decoys[int(rng.integers(len(decoys)))]
-        ep = make_expansion(a, c)
-        if ep is not None:
-            expansions.append((ep, 0))
+        if has_context(a, c):
+            targets.append(((a, c), 0))
             n_neg += 1
 
     attempts = 0
@@ -288,28 +290,37 @@ def build_labeled_expansions(
         a, b = labeled[i], labeled[j]
         if a.identity == b.identity or a.scene_id == b.scene_id:
             continue
-        ep = make_expansion(a, b)
-        if ep is not None:
-            expansions.append((ep, 0))
+        if has_context(a, b):
+            targets.append(((a, b), 0))
             n_neg += 1
     if n_pos == 0 or n_neg == 0:
-        raise DataError(
-            f"graph training set needs both labels; built {n_pos} positive and {n_neg} negative"
-        )
-    log.info("graph targets: %d positive, %d negative (K=%d)", n_pos, n_neg, k)
-    return expansions
+        raise DataError(f"graph training set needs both labels; built {n_pos} positive and {n_neg} negative")
+    log.info("graph targets: %d positive, %d negative", n_pos, n_neg)
+    return targets
 
 
-def build_graph_samples(
-    scenes,
-    attn_scorer,
-    k: int = DEFAULT_K,
-    seed: int = 0,
-    neg_ratio: float = 1.0,
-    max_positives: int = None,
-):
-    """The training set of either graph model, built from the labeled expansions."""
-    expansions = build_labeled_expansions(
-        scenes, attn_scorer, k=k, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives
-    )
-    return samples_from_expansions(expansions)
+def build_graph_samples(scenes, attn_scorer, k: int = DEFAULT_K, seed: int = 0, neg_ratio: float = 1.0,
+                        max_positives: int = None):
+    """The training set of either graph model: every labeled target's graph,
+    built as the graph scorers build it, in target order. Each scene pair
+    fills one table from the pair scorer ``attn_scorer``, and each (probe
+    person, gallery scene) gets one ``context_sides``; the scene pairs go one
+    probe scene after another, so ``AttentionScorer.scene_scorer`` keeps its
+    probe side."""
+    targets = build_labeled_expansions(scenes, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives)
+    scene_of = {s.scene_id: s for s in scenes}
+    by_pair = {}  # (probe scene id, gallery scene id) -> probe id -> target indices
+    for n, ((a, b), _) in enumerate(targets):
+        by_pair.setdefault((a.scene_id, b.scene_id), {}).setdefault(a.instance_id, []).append(n)
+    samples = [None] * len(targets)
+    for probe_scene_id, gallery_scene_id in sorted(by_pair):
+        ps, gs = scene_of[probe_scene_id], scene_of[gallery_scene_id]
+        table = np.array([[attn_scorer(p, g) for g in gs.instances] for p in ps.instances], dtype=float)
+        for ns in by_pair[probe_scene_id, gallery_scene_id].values():
+            row = member_index(ps, targets[ns[0]][0][0], "probe")
+            cols, xa, xb = context_sides(table, ps, row, gs, k, seed)
+            for n in ns:
+                (_, b), label = targets[n]
+                t = cols.index(member_index(gs, b, "gallery"))
+                samples[n] = GraphSample(xa[t], xb[t], label)
+    return samples

@@ -21,8 +21,8 @@ from .attention import AttentionParams, attention_head, slot_projections
 from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import ConfigError, UsageError
-from .expansion import member_index, pair_rng, scene_contexts
-from .graph import GcnParams, gcn_score_batch, node_features
+from .expansion import member_index, pair_rng
+from .graph import GcnParams, context_sides, gcn_score_batch
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
@@ -124,9 +124,10 @@ class AttentionScorer(Scorer):
         return list(zip(insts, self.pair_matrix([probe], insts)[0]))
 
     def scene_scorer(self, scenes):
-        """A pair scorer for ``expand`` over the persons of ``scenes``. The
-        first lookup in a scene pair scores every cross pair of the two
-        scenes in one ``pair_matrix`` call; later lookups reuse it."""
+        """A pair scorer over the persons of ``scenes`` for
+        ``build_graph_samples`` (and ``expand``). The first lookup in a
+        scene pair scores every cross pair of the two scenes in one
+        ``pair_matrix`` call; later lookups reuse it."""
         scene_of = {s.scene_id: s for s in scenes}
         tables = {}
 
@@ -165,31 +166,21 @@ class _ContextScorerBase(Scorer):
         return [e for scene in gallery_scenes for e in self._score_targets(probe_scene, probe, scene)]
 
     def _score_targets(self, probe_scene, probe, gallery_scene):
-        """Score every person of one gallery scene. Targets with context go
-        to ``gcn_score_batch`` as stacked (B, K+1, f) probe-side and
-        gallery-side node features; targets without context fall back to
-        the rescaled pair similarity. One attention-similarity matrix of
-        the scene pair serves the context choice of every target and the
-        fallback. The probe is the person of ``probe_scene`` with its id."""
+        """Score every person of one gallery scene. The targets that have
+        context go to ``gcn_score_batch`` with the node features
+        ``context_sides`` gathers; the others fall back to the rescaled pair
+        similarity. One attention-similarity matrix of the scene pair serves
+        the context choice of every target and the fallback. The probe is
+        the person of ``probe_scene`` with its id."""
         insts = gallery_scene.instances
         if not insts:
             return []
         row = member_index(probe_scene, probe, "probe")
         table = self.attn.pair_matrix(probe_scene.instances, insts)
-        n_p = len(probe_scene.instances)
-        feats = node_features((*probe_scene.instances, *insts))
-        scores = np.empty(len(insts))
-        batch, side_a, side_b = [], [], []
-        for t, chosen in enumerate(scene_contexts(table, probe_scene, row, gallery_scene, self.k, self.seed)):
-            if chosen is None:
-                scores[t] = (table[row, t] + 1.0) / 2.0
-            else:
-                batch.append(t)
-                side_a.append([row] + [p for p, _ in chosen])
-                side_b.append([n_p + t] + [n_p + g for _, g in chosen])
-        if batch:
-            xa, xb = feats[np.array(side_a)], feats[np.array(side_b)]
-            scores[batch] = gcn_score_batch(self.params, xa, xb)
+        scores = (table[row] + 1.0) / 2.0
+        cols, xa, xb = context_sides(table, probe_scene, row, gallery_scene, self.k, self.seed)
+        if cols:
+            scores[cols] = gcn_score_batch(self.params, xa, xb)
         return list(zip(insts, scores))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .autodiff import SgdConfig, Tensor
 from .graph import GcnParams, fit_graph_model, graph_readout
-from .graph import samples_from_expansions  # re-exported: the sample builder of both graph models
+from .graph import samples_from_expansions  # re-exported: the per-target reference sample builder
 
 
 class SiameseParams(GcnParams):
@@ -18,6 +18,7 @@ class SiameseParams(GcnParams):
 
     PREFIX = "siamese"
     READOUTS = 2
+    NODE_SIDES = 1
 
     def logits(self, xa: Tensor, xb: Tensor) -> Tensor:
         return siamese_forward(self, xa, xb)
@@ -35,4 +36,4 @@ def siamese_forward(params: SiameseParams, xa: Tensor, xb: Tensor) -> Tensor:
 
 def train_siamese(samples, cfg: SgdConfig, epoch_losses: list = None) -> SiameseParams:
     """Binary cross-entropy training of the siamese model over GraphSamples."""
-    return fit_graph_model(samples, cfg, init_siamese_params, epoch_losses)
+    return fit_graph_model(samples, cfg, SiameseParams, epoch_losses)

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from context_rerank.attention import AttentionParams
+from context_rerank.attention import AttentionParams, init_attention_params
 from context_rerank.autodiff import load_checkpoint, save_checkpoint
 from context_rerank.cli import build_parser, run
 from context_rerank.dataio import load_dataset
@@ -104,6 +104,18 @@ class TestTraining:
         )
         assert code == 3
 
+
+    @pytest.mark.parametrize("scorer, checkpoint, width", [("graph", "gcn", 32), ("siamese", "siamese", 16)])
+    def test_graph_checkpoint_for_another_dim_exits_3(self, workspace, tmp_path, caplog, scorer, checkpoint, width):
+        # d=8 data and attention, a graph checkpoint trained on d=16 data
+        other, attn = tmp_path / "other.jsonl", tmp_path / "attn8.ckpt"
+        assert run(GEN_ARGS[:-4] + ["--dim", "8", "--seed", "5", "--out", str(other)]) == 0
+        save_checkpoint(attn, init_attention_params(np.random.default_rng(0), 8, hidden=8).to_entries())
+        code = run(["eval", "--data", str(other), "--scorer", scorer, "--attn", str(attn),
+                    "--gcn", str(workspace[checkpoint]), "--gallery-size", "5", "--max-queries", "4"])
+        assert code == 3
+        assert f"graph checkpoint {workspace[checkpoint]} takes node features of width {width}, " \
+               f"dataset has d=8" in caplog.text
 
 # (entry, damage, expected shape) for the workspace checkpoints: hidden width 8
 # (TRAIN_ARGS), paired GCN layers of 2 x 16 features, readout 1024

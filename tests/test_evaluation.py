@@ -175,6 +175,19 @@ class TestSweepAndCsv:
         reports = gallery_sweep([5, 10, 15], queries, small_dataset.scenes, UniformScorer(), seed=7)
         assert [r.gallery_size for r in reports] == [5, 10, 15]
 
+    def test_sweep_checks_every_size_before_ranking(self, small_dataset):
+        calls = []
+
+        class Recording(UniformScorer):
+            def score_gallery(self, probe_scene, probe, gallery_scenes):
+                calls.append(probe.instance_id)
+                return super().score_gallery(probe_scene, probe, gallery_scenes)
+
+        queries = select_queries(small_dataset.scenes, 10, seed=8)
+        with pytest.raises(ConfigError, match="gallery_size 999 exceeds corpus of"):
+            gallery_sweep([5, 10, 999], queries, small_dataset.scenes, Recording(), seed=8)
+        assert calls == []
+
     def test_csv_layout(self, small_dataset):
         queries = select_queries(small_dataset.scenes, 10, seed=8)
         reports = gallery_sweep([5, 10], queries, small_dataset.scenes, UniformScorer(), seed=8)

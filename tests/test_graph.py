@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from context_rerank.autodiff import SgdConfig, Tensor
-from context_rerank.embeddings import Instance, PartEmbedding, Scene
+from context_rerank.dataio import SynthConfig, generate_synthetic
+from context_rerank.embeddings import Instance, PartEmbedding, Scene, labeled_pairs
 from context_rerank.attention import init_attention_params
 from context_rerank.errors import ConfigError, DataError, UsageError
 from context_rerank.expansion import expand
@@ -14,6 +15,7 @@ from context_rerank.graph import (
     GraphSample,
     build_graph,
     build_graph_samples,
+    build_labeled_expansions,
     gcn_forward,
     gcn_logits,
     gcn_score_batch,
@@ -24,7 +26,7 @@ from context_rerank.graph import (
     star_adjacency,
     train_gcn,
 )
-from context_rerank.scoring import GraphScorer
+from context_rerank.scoring import AttentionScorer, GraphScorer
 from context_rerank.siamese import init_siamese_params, train_siamese
 
 
@@ -323,6 +325,48 @@ class TestBuildGraphSamples:
         labels = {s.label for s in samples}
         assert labels == {0, 1}
         assert {x.shape for s in samples for x in (s.xa, s.xb)} == {(3, 8)}
+
+    @pytest.fixture(scope="class")
+    def sparse_corpus(self):
+        """Scenes of one or two persons, so that some positives have a person
+        alone in its scene and many targets have fewer than K contexts."""
+        ds = generate_synthetic(SynthConfig(num_identities=30, num_cameras=3, scenes_per_camera=10,
+                                            instances_per_scene=2, group_size_mean=1, dim=8, seed=5))
+        assert any(len(s.instances) == 1 for s in ds.scenes)
+        return ds.scenes, init_attention_params(np.random.default_rng(3), 8, hidden=16)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("table", ["scene_scorer", "pair_score"])
+    def test_samples_match_the_per_target_reference(self, sparse_corpus, k, table):
+        scenes, attn = sparse_corpus
+
+        def pair_scorer():
+            scorer = AttentionScorer(attn)
+            return scorer.scene_scorer(scenes) if table == "scene_scorer" else scorer.pair_score
+
+        targets = build_labeled_expansions(scenes, seed=3, neg_ratio=1.5)
+        samples = build_graph_samples(scenes, pair_scorer(), k=k, seed=3, neg_ratio=1.5)
+        assert len(samples) == len(targets)
+        scene_of = {s.scene_id: s for s in scenes}
+        reference = pair_scorer()
+        for ((a, b), label), sample in zip(targets, samples):
+            ep = expand(scene_of[a.scene_id], a, scene_of[b.scene_id], b, reference, k=k, seed=3)
+            xa, xb = side_matrices(ep)
+            assert np.array_equal(sample.xa, xa) and np.array_equal(sample.xb, xb)
+            assert sample.label == label
+
+    def test_targets_are_the_pairs_expand_finds_context_for(self, sparse_corpus):
+        scenes, _ = sparse_corpus
+        scene_of = {s.scene_id: s for s in scenes}
+
+        def degenerate(a, b):
+            return expand(scene_of[a.scene_id], a, scene_of[b.scene_id], b, lambda p, g: 0.0, k=1).degenerate
+
+        targets = build_labeled_expansions(scenes, seed=3)
+        assert not any(degenerate(a, b) for (a, b), _ in targets)
+        positives = {(a.instance_id, b.instance_id) for (a, b), label in targets if label == 1}
+        skipped = [(a, b) for a, b in labeled_pairs(scenes)[1] if (a.instance_id, b.instance_id) not in positives]
+        assert skipped and all(degenerate(a, b) for a, b in skipped)
 
     def test_checkpoint_roundtrip_of_params(self, tmp_path):
         from context_rerank.autodiff import load_checkpoint, save_checkpoint
