@@ -83,22 +83,23 @@ def attention_head(params: AttentionParams, h: Tensor) -> Tensor:
     return h.relu().linear(params.w2, params.b2).softmax()
 
 
-def slot_projections(params: AttentionParams, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """First-layer products of persons in one slot of a pair, for (n1, R, d)
-    part stacks in the first slot of ``pair_descriptor`` and (n2, R, d) in
-    the second: row i of the (n1 + n2, hidden) result is ``w1`` times the
-    descriptor holding stack i in its slot and zeros in the other. The
-    layer is linear, so the first layer of ``pair_descriptor(a, b)`` is the
-    first-slot row of a plus the second-slot row of b plus ``b1``."""
-    n1, r, d = first.shape
-    width = params.w1.shape[1]
-    if 2 * r * d != width or second.shape[1:] != (r, d):
-        raise DimensionError(f"part stacks of shapes {first.shape[1:]} and {second.shape[1:]} do not "
-                             f"match parameters (expect (R, d) with 2*R*d = {width})")
-    rows = np.zeros((n1 + len(second), r, 2, d))
-    rows[:n1, :, 0] = first
-    rows[n1:, :, 1] = second
-    return rows.reshape(-1, width) @ params.w1.data.T
+def slot_halves(params: AttentionParams) -> np.ndarray:
+    """``w1`` as its two slot halves, (2, R*d, hidden): ``pair_descriptor``
+    interleaves the slots part by part, and the layer is linear, so the
+    first layer of ``pair_descriptor(a, b)`` is a's parts times half 0 plus
+    b's parts times half 1 plus ``b1``."""
+    hidden, width = params.w1.shape
+    return params.w1.data.reshape(hidden, R_PARTS, 2, -1).transpose(2, 1, 3, 0).reshape(2, width // 2, hidden)
+
+
+def slot_rows(halves: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """First-layer rows of an (n, R, d) part stack in the first and in the
+    second slot of a pair, for ``slot_halves``: (2, n, hidden)."""
+    d = halves.shape[1] // R_PARTS
+    if parts.shape[1:] != (R_PARTS, d):
+        raise DimensionError(f"part stack of shape {parts.shape[1:]} does not match parameters "
+                             f"(expect (R, d) = ({R_PARTS}, {d}))")
+    return parts.reshape(len(parts), -1) @ halves
 
 
 def attention_weights_batch(params: AttentionParams, descriptors: np.ndarray) -> np.ndarray:

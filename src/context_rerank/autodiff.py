@@ -400,8 +400,8 @@ def save_checkpoint(path, entries: dict):
 
 def load_checkpoint(path) -> dict:
     """Read a checkpoint written by ``save_checkpoint``. A short, padded or
-    otherwise malformed file raises DataError naming the file and the byte
-    offset."""
+    otherwise malformed file, or one that repeats an entry name, raises
+    DataError naming the file and the byte offset."""
     with open(path, "rb") as f:
         blob = memoryview(f.read())
     if blob[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
@@ -428,6 +428,8 @@ def load_checkpoint(path) -> dict:
             name = bytes(take(name_len, "a name")).decode("utf-8")
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: entry name at byte {off - name_len} is not utf-8") from e
+        if name in entries:
+            raise DataError(f"{path}: entry {name!r} at byte {off - name_len} repeats an earlier entry")
         (ndim,) = u32s(1, f"the rank of {name!r}")
         shape = u32s(ndim, f"the shape of {name!r}")
         raw = take(8 * math.prod(shape), f"the values of {name!r}")
@@ -502,10 +504,13 @@ class ParamSet:
         return params
 
 
-def multiple_of(n: int, m: int):
-    """``n`` where it is a positive multiple of ``m``, for ``expected_shapes``;
-    otherwise what it should have been."""
-    return n if m > 0 and n > 0 and n % m == 0 else f"a multiple of {m}"
+def multiple_of(n: int, m: int, least: int = 1):
+    """``n`` where it is a multiple of ``m`` and at least ``least`` times
+    ``m`` (``m`` > 0), for ``expected_shapes``; otherwise what it should
+    have been."""
+    if m > 0 and n >= least * m and n % m == 0:
+        return n
+    return f"a multiple of {m}" + (f" >= {least * m}" if least > 1 else "")
 
 
 # -- finite-difference oracle -------------------------------------------

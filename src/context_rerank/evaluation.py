@@ -122,8 +122,8 @@ def _sample_gallery(query: Instance, probe_scene: Scene, scenes, gallery_size: i
 def _check_gallery_size(gallery_size: int, scenes) -> None:
     if gallery_size < 1:
         raise ConfigError(f"gallery_size must be >= 1, got {gallery_size}")
-    if gallery_size > len(scenes):
-        raise ConfigError(f"gallery_size {gallery_size} exceeds corpus of {len(scenes)} scenes")
+    if gallery_size > len(scenes) - 1:  # a query's gallery leaves out the probe's own scene
+        raise ConfigError(f"gallery_size {gallery_size} exceeds corpus of {len(scenes)} scenes less the probe's own")
 
 
 def evaluate(queries, scenes, scorer, gallery_size: int, seed: int = 0) -> EvalReport:

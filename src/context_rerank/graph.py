@@ -143,7 +143,7 @@ class GcnParams(ParamSet):
         f = self.layers[0].shape[0]
         readout, width = self.readout_w.shape
         return {**{f"layer{i}": (f, f) for i in range(len(self.layers))},
-                "readout_w": (readout, multiple_of(width, f)), "readout_b": (readout, 1),
+                "readout_w": (readout, multiple_of(width, f, least=2)), "readout_b": (readout, 1),
                 "cls_w": (2, self.READOUTS * readout), "cls_b": (2, 1)}
 
     @property

@@ -6,9 +6,11 @@ gallery: scene order, then instance order within each scene.
 ``score_scene(probe_scene, probe, gallery_scene)`` is the same for one
 scene. Scorers do not change their parameters, and a score depends only on
 the call's inputs: the same call gives the same bits, whatever came before
-it. The attention scorer keeps the first-layer rows of the last probe side,
-which a call replaces whole and never edits, and computes them in the same
-product whether it keeps them or not.
+it. The attention scorer splits ``w1`` into its two slot halves when it
+is built, runs the first layer once per (person, slot) and sums two rows per
+pair. It keeps the rows of the last probe side, which a call replaces whole
+and never edits, and computes them in the same product whether it keeps
+them or not.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import operator
 
 import numpy as np
 
-from .attention import AttentionParams, attention_head, slot_projections
+from .attention import AttentionParams, attention_head, slot_halves, slot_rows
 from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import ConfigError, UsageError
@@ -58,8 +60,9 @@ class UniformScorer(Scorer):
 class AttentionScorer(Scorer):
     """Part fusion with weights predicted by the relative attention head.
 
-    The scorer keeps first-layer products of the last probe side, so its
-    parameters must not change while it is in use.
+    The scorer splits ``w1`` when it is built and keeps first-layer products
+    of the last probe side, so its parameters must not change while it is
+    in use.
     """
 
     name = "attention"
@@ -67,8 +70,9 @@ class AttentionScorer(Scorer):
 
     def __init__(self, params: AttentionParams):
         self.params = params
-        # the last probe side: (persons, (n, R, d) parts, keys, (2n, hidden)
-        # first-slot then second-slot rows plus b1); replaced, never changed
+        self._halves = slot_halves(params)
+        # the last probe side: (persons, (n, R, d) parts, keys, (2, n, hidden)
+        # first-slot and second-slot rows plus b1); replaced, never changed
         self._probe_side = None
 
     def pair_score(self, a: Instance, b: Instance) -> float:
@@ -78,13 +82,12 @@ class AttentionScorer(Scorer):
         """All cross-pair similarities, canonical pair order applied per pair.
 
         The first layer runs once per (person, slot) row, and a pair's
-        pre-activation sums the rows of its two persons. The probe side's
-        rows for both slots come from one product with ``w1``, kept with its
-        parts and keys for the next call with the same persons (the same
-        objects); the gallery rows come from a product of their own, with
-        rows only for the slots a gallery person's pairs use. A kept probe
-        side and a fresh one are the same product, so a call gives the same
-        bits whatever came before it.
+        pre-activation sums the rows of its two persons: the first-slot row
+        of the key-smaller one and the second-slot row of the other. The
+        probe side's rows are kept with its parts and keys for the next call
+        with the same persons (the same objects). A kept probe side and a
+        fresh one are the same product, so a call gives the same bits
+        whatever came before it.
         """
         n_p, n_g = len(probe_insts), len(gallery_insts)
         if not n_p or not n_g:
@@ -92,29 +95,18 @@ class AttentionScorer(Scorer):
         side = self._probe_side
         if side is None or len(side[0]) != n_p or not all(map(operator.is_, side[0], probe_insts)):
             probe_parts = np.array([i.embedding.parts for i in probe_insts])
-            probe_rows = slot_projections(self.params, probe_parts, probe_parts) + self.params.b1.data.reshape(-1)
+            probe_rows = slot_rows(self._halves, probe_parts) + self.params.b1.data.reshape(-1)
             side = self._probe_side = (tuple(probe_insts), probe_parts,
                                        [i.embedding.key() for i in probe_insts], probe_rows)
-        _, probe_parts, probe_keys, probe_rows = side
+        _, probe_parts, probe_keys, (p_first, p_second) = side
         parts = np.array([i.embedding.parts for i in gallery_insts])
-        gallery_keys = [i.embedding.key() for i in gallery_insts]
+        g_first, g_second = slot_rows(self._halves, parts)
         # order_pair: the probe takes the first slot where its key is not the larger
-        first = [[pk <= gk for gk in gallery_keys] for pk in probe_keys]
-        # a gallery person gets a row for each slot its pairs use
-        slots = [(not all(col), any(col)) for col in zip(*first)]
-        first_rows = [j for j, (f, _) in enumerate(slots) if f]
-        second_rows = [j for j, (_, s) in enumerate(slots) if s]
-        proj = slot_projections(self.params, parts[first_rows], parts[second_rows])
-        # each pair's gallery row in proj, and its probe row (person i in the
-        # first slot is row i, in the second row n_p + i)
-        in_first = {j: n for n, j in enumerate(first_rows)}
-        in_second = {j: n for n, j in enumerate(second_rows, len(first_rows))}
-        gallery_idx = [in_second[j] if f else in_first[j] for row in first for j, f in enumerate(row)]
-        probe_idx = [i if f else n_p + i for i, row in enumerate(first) for f in row]
-        pre = proj.take(gallery_idx, axis=0)
-        del proj  # at most two (pairs, hidden) arrays alive at once
-        pre += probe_rows.take(probe_idx, axis=0)
-        weights = attention_head(self.params, Tensor(pre)).data.reshape(n_p, n_g, -1)
+        gallery_keys = [i.embedding.key() for i in gallery_insts]
+        first = np.array([[pk <= gk for gk in gallery_keys] for pk in probe_keys])[..., None]
+        pre = np.where(first, g_second, g_first)
+        pre += np.where(first, p_first[:, None], p_second[:, None])
+        weights = attention_head(self.params, Tensor(pre.reshape(n_p * n_g, -1))).data.reshape(n_p, n_g, -1)
         cos = np.einsum("ird,jrd->ijr", probe_parts, parts)
         return np.einsum("ijr,ijr->ij", cos, weights)
 

@@ -328,6 +328,18 @@ def test_checkpoint_with_trailing_bytes_is_data_error(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_with_repeated_entry_name_is_data_error(tmp_path):
+    from context_rerank.errors import DataError
+
+    # the second entry renamed to the first: read as a dict, the later value would win
+    path, blob = _two_entry_checkpoint(tmp_path)
+    at = blob.index(b"m/b")
+    path.write_bytes(blob[:at] + b"m/w" + blob[at + 3:])
+    with pytest.raises(DataError, match=f"entry 'm/w' at byte {at} repeats an earlier entry") as e:
+        load_checkpoint(path)
+    assert str(e.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_with_bad_entry_name_is_data_error(tmp_path):
     from context_rerank.errors import DataError
 

@@ -126,6 +126,8 @@ WRONG_SHAPES = [
     ("attention/b2", lambda a: a[:-1], "(4, 1)"),
     ("gcn/layer1", lambda a: a[:-1, :-1], "(32, 32)"),
     ("gcn/readout_b", lambda a: a[:-1], "(1024, 1)"),
+    # a one-node graph (K = 0): the readout must read the probe pair and a context
+    ("gcn/readout_w", lambda a: a[:, :32], "(1024, a multiple of 32 >= 64)"),
     ("gcn/cls_b", lambda a: np.vstack([a, a[:1]]), "(2, 1)"),
 ]
 

@@ -188,6 +188,24 @@ class TestSweepAndCsv:
             gallery_sweep([5, 10, 999], queries, small_dataset.scenes, Recording(), seed=8)
         assert calls == []
 
+    def test_gallery_size_is_at_most_the_scenes_less_the_probes_own(self, small_dataset):
+        # a query's gallery leaves out the probe's scene, so the largest
+        # gallery has every other scene and one more is refused
+        scenes = small_dataset.scenes
+        sizes = []
+
+        class Recording(UniformScorer):
+            def score_gallery(self, probe_scene, probe, gallery_scenes):
+                sizes.append(len(gallery_scenes))
+                return super().score_gallery(probe_scene, probe, gallery_scenes)
+
+        queries = select_queries(scenes, 5, seed=3)
+        assert evaluate(queries, scenes, Recording(), len(scenes) - 1).gallery_size == len(scenes) - 1
+        assert sizes == [len(scenes) - 1] * len(queries)
+        with pytest.raises(ConfigError, match=f"gallery_size {len(scenes)} exceeds corpus of {len(scenes)} scenes"):
+            evaluate(queries, scenes, Recording(), len(scenes))
+        assert len(sizes) == len(queries)
+
     def test_csv_layout(self, small_dataset):
         queries = select_queries(small_dataset.scenes, 10, seed=8)
         reports = gallery_sweep([5, 10], queries, small_dataset.scenes, UniformScorer(), seed=8)

@@ -20,7 +20,7 @@ from context_rerank.embeddings import (
 )
 from context_rerank.evaluation import rank_gallery
 from context_rerank.expansion import expand
-from context_rerank.errors import ConfigError
+from context_rerank.errors import ConfigError, DimensionError
 from context_rerank.graph import (
     GcnParams,
     build_graph,
@@ -126,6 +126,29 @@ class TestAttentionScorer:
             for j, g in enumerate(gallery):
                 w = attention_weights_batch(params, pair_descriptor(*order_pair(p.embedding, g.embedding))[None])[0]
                 assert m[i, j] == pytest.approx(fused_similarity(p.embedding, g.embedding, w), abs=1e-12)
+
+    def test_gallery_persons_in_both_slots_match_descriptor_reference(self):
+        # keys ranked 0, 2, 4 probe and 1, 3 gallery: each gallery person
+        # takes the second slot against a key-smaller probe and the first
+        # against a key-larger one
+        params = init_attention_params(np.random.default_rng(4), 8, hidden=16)
+        ranked = sorted((make_instance(f"k{i}", "s") for i in range(5)), key=lambda i: i.embedding.key())
+        probes, gallery = ranked[::2], ranked[1::2]
+        assert order_pair(probes[0].embedding, gallery[0].embedding)[1] is gallery[0].embedding
+        assert order_pair(probes[1].embedding, gallery[0].embedding)[0] is gallery[0].embedding
+        m = AttentionScorer(params).pair_matrix(probes, gallery)
+        for i, p in enumerate(probes):
+            for j, g in enumerate(gallery):
+                w = attention_weights_batch(params, pair_descriptor(*order_pair(p.embedding, g.embedding))[None])[0]
+                assert m[i, j] == pytest.approx(fused_similarity(p.embedding, g.embedding, w), abs=1e-12)
+
+    def test_persons_of_another_dim_raise(self):
+        scorer = AttentionScorer(init_attention_params(np.random.default_rng(4), 8, hidden=16))
+        wide = [make_instance("w0", "sw", d=16)]
+        with pytest.raises(DimensionError, match=r"part stack of shape \(4, 16\) does not match"):
+            scorer.pair_matrix(wide, [make_instance("g0", "sg")])
+        with pytest.raises(DimensionError, match=r"part stack of shape \(4, 16\) does not match"):
+            scorer.pair_matrix([make_instance("p0", "sp")], wide)
 
     def test_probe_memo_matches_fresh_scorer(self, scene_pair):
         # one scorer alternating two probe scenes, then a scene with the same
