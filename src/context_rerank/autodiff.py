@@ -5,6 +5,11 @@ The computation tape is rebuilt on every forward pass and torn down by
 axis, so one tape covers a whole minibatch, and the same forward runs on
 constant inputs at inference. Everything is 64-bit so analytic gradients
 can be validated against central finite differences tightly.
+
+Gradients are values: nothing writes into a gradient array. A tensor keeps
+the first one it gets and adds later ones out of place, so an op may hand
+one array to several parents. ``backward`` runs a tape once: each node drops
+its gradient, parents and closure once it has passed its gradient on.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
 
 log = logging.getLogger(__name__)
+
+_RELEASED = object()  # the closure of a node whose tape backward has run
 
 __all__ = [
     "Tensor",
@@ -75,31 +82,23 @@ class Tensor:
         return t
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     # -- operations -----------------------------------------------------
 
-    def matmul(self, other: "Tensor") -> "Tensor":
-        """``self @ other`` for a matrix or a stack of matrices (..., m, k)
-        times one (k, n) matrix."""
+    def __matmul__(self, other: "Tensor") -> "Tensor":
+        """``self @ other`` for two matrices."""
         a, b = self.data, other.data
-        if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-        out = a @ b
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(g @ b.T)
             if other.requires_grad:
-                # one product over every stacked row sums the per-matrix gradients
-                other._accumulate(a.reshape(-1, b.shape[0]).T @ g.reshape(-1, b.shape[1]))
+                other._accumulate(a.T @ g)
 
-        return Tensor._result(out, (self, other), backward)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
+        return Tensor._result(a @ b, (self, other), backward)
 
     def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
         """The layer ``self @ w.T + b`` on (B, n) rows, for an (m, n) weight
@@ -118,17 +117,22 @@ class Tensor:
 
         return Tensor._result(x @ wd.T + bd.reshape(-1), (self, w, b), backward)
 
-    def left_mul(self, a: np.ndarray) -> "Tensor":
-        """Constant (n, n) matrix ``a`` times each (n, f) matrix of a (B, n, f) stack."""
-        x = self.data
-        if x.ndim != 3 or a.shape != (x.shape[1], x.shape[1]):
-            raise DimensionError(f"left_mul: incompatible shapes {a.shape} x {x.shape}")
+    def propagate(self, a: np.ndarray, w: "Tensor") -> "Tensor":
+        """One graph layer ``a @ x @ w`` for each (n, f) matrix x of a
+        (B, n, f) stack, with a constant (n, n) ``a`` and an (f, m) weight."""
+        x, wd = self.data, w.data
+        if x.ndim != 3 or a.shape != (x.shape[1], x.shape[1]) or wd.ndim != 2 or wd.shape[0] != x.shape[2]:
+            raise DimensionError(f"propagate: incompatible shapes {a.shape} x {x.shape} x {wd.shape}")
+        ax = np.einsum("ij,bjf->bif", a, x)
 
         def backward(g):
             if self.requires_grad:
-                self._accumulate(np.einsum("ji,bjf->bif", a, g))
+                self._accumulate(np.einsum("ji,bjf->bif", a, g @ wd.T))
+            if w.requires_grad:
+                # one product over every stacked row sums the per-matrix gradients
+                w._accumulate(ax.reshape(-1, wd.shape[0]).T @ g.reshape(-1, wd.shape[1]))
 
-        return Tensor._result(np.einsum("ij,bjf->bif", a, x), (self,), backward)
+        return Tensor._result(ax @ wd, (self, w), backward)
 
     def _binary(self, other, op, d_self, d_other):
         """Elementwise ``op`` on two operands of one shape; ``d_self`` and
@@ -157,14 +161,14 @@ class Tensor:
     __sub__ = sub
     __mul__ = mul
 
-    def affine(self, alpha: float, beta: float = 0.0) -> "Tensor":
-        """Elementwise alpha * x + beta with python scalars."""
+    def affine(self, alpha: float) -> "Tensor":
+        """Elementwise alpha * x with a python scalar."""
 
         def backward(g):
             if self.requires_grad:
                 self._accumulate(alpha * g)
 
-        return Tensor._result(alpha * self.data + beta, (self,), backward)
+        return Tensor._result(alpha * self.data, (self,), backward)
 
     def relu(self) -> "Tensor":
         def backward(g):
@@ -274,19 +278,25 @@ class Tensor:
         return order
 
     def backward(self):
+        """Gradients of this scalar loss into every leaf that requires grad."""
         if self.data.size != 1:
             raise UsageError("backward() requires a scalar loss")
+        tape = self._tape()
+        if any(node._backward is _RELEASED for node in tape):
+            raise UsageError("backward() already ran through this tape")
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(self._tape()):
+        for node in reversed(tape):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._parents, node._backward = None, (), _RELEASED
 
 
 def relu_kink_distance(loss: Tensor) -> float:
     """Smallest |pre-activation| over every ReLU on the tape of ``loss``.
 
-    Finite-difference checks are unreliable when a ReLU input sits within h
-    of zero; callers resample such configurations.
+    Reads the tape before ``backward()``, which releases it. Finite-difference
+    checks are unreliable when a ReLU input sits within h of zero; callers
+    resample such configurations.
     """
     kinks = [np.min(np.abs(n._kink)) for n in loss._tape() if n._kink is not None and n._kink.size]
     return float(min(kinks, default=np.inf))
@@ -329,7 +339,7 @@ class SgdConfig:
 
 
 def sgd_step(params, lr: float):
-    """p <- p - lr * grad for every parameter, then zero the grads."""
+    """p <- p - lr * grad for every parameter, then set each grad to None."""
     for p in params:
         if p.grad is None:
             raise UsageError("sgd_step: parameter has no gradient (call backward first)")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .attention import AttentionParams, VerificationConfig, build_training_pairs, train_attention
+from .attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, build_training_pairs, train_attention
 from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
 from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
@@ -69,12 +69,13 @@ _GEN_FLAGS = {
 
 
 def _add_sgd_flags(p):
-    p.add_argument("--lr", type=float, default=0.1, help="initial learning rate (default 0.1)")
-    p.add_argument("--epochs", type=int, default=20, help="training epochs (default 20)")
+    sgd = SgdConfig()
+    p.add_argument("--lr", type=float, default=sgd.learning_rate, help="initial learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=sgd.epochs, help="training epochs (default %(default)s)")
     p.add_argument("--lr-drop-epoch", type=int, default=10,
                    help="epoch after which the learning rate is halved (default 10; 0 disables)")
-    p.add_argument("--batch-size", type=int, default=32, help="mini-batch size (default 32)")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
+    p.add_argument("--batch-size", type=int, default=sgd.batch_size, help="mini-batch size (default %(default)s)")
+    p.add_argument("--seed", type=int, default=sgd.seed, help="RNG seed (default %(default)s)")
 
 
 def _add_context_k_flag(p, default=DEFAULT_K):
@@ -109,8 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-attn", help="train the relative attention head")
     p.add_argument("--data", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="attention checkpoint output")
-    p.add_argument("--margin", type=float, default=0.3, help="verification loss margin (default 0.3)")
-    p.add_argument("--hidden", type=int, default=256, help="hidden width (default 256)")
+    p.add_argument("--margin", type=float, default=VerificationConfig().margin,
+                   help="verification loss margin (default %(default)s)")
+    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN, help="hidden width (default %(default)s)")
     p.add_argument("--neg-ratio", type=int, default=3,
                    help="negatives sampled per positive each epoch (default 3)")
     _add_sgd_flags(p)

@@ -33,7 +33,7 @@ def check_gradients(build_loss, leaves, h: float = FD_STEP) -> float:
     loss.backward()
     worst = 0.0
     for leaf in leaves:
-        analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad.copy()
+        analytic = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
         numeric = numeric_gradient(lambda _x: build_loss().item(), leaf.data, h=h)
         worst = max(worst, max_rel_error(analytic, numeric))
         leaf.grad = None
@@ -62,20 +62,22 @@ def _random_embedding(rng, d) -> PartEmbedding:
     return PartEmbedding.from_array(parts)
 
 
-def gradcheck_matmul(n_trials: int = 100, seed: int = 11) -> float:
-    """A stack of (m, k) matrices times one (k, n) matrix, and the layer
-    x @ w.T + b on (m, k) rows."""
+def gradcheck_propagation(n_trials: int = 100, seed: int = 11) -> float:
+    """The graph layer a @ x @ w on a stack of (n, f) matrices with a
+    constant (n, n) a, and the layer x @ w.T + b on (m, k) rows."""
 
     def make_trial(rng):
-        s, m, k, n = (int(v) for v in rng.integers(1, 5, size=4))
-        a = Tensor(rng.uniform(-1, 1, (s, m, k)), requires_grad=True)
-        b = Tensor(rng.uniform(-1, 1, (k, n)), requires_grad=True)
-        x = Tensor(rng.uniform(-1, 1, (m, k)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, (n, k)), requires_grad=True)
-        bias = Tensor(rng.uniform(-1, 1, (n, 1)), requires_grad=True)
-        c1 = Tensor(rng.uniform(-1, 1, (s, m, n)))
-        c2 = Tensor(rng.uniform(-1, 1, (m, n)))
-        return lambda: ((a @ b) * c1).sum() + (x.linear(w, bias) * c2).sum(), [a, b, x, w, bias]
+        s, n, f, m, k = (int(v) for v in rng.integers(1, 5, size=5))
+        a = rng.uniform(-1, 1, (n, n))
+        x = Tensor(rng.uniform(-1, 1, (s, n, f)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, (f, k)), requires_grad=True)
+        rows = Tensor(rng.uniform(-1, 1, (m, k)), requires_grad=True)
+        lin_w = Tensor(rng.uniform(-1, 1, (f, k)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, (f, 1)), requires_grad=True)
+        c1 = Tensor(rng.uniform(-1, 1, (s, n, k)))
+        c2 = Tensor(rng.uniform(-1, 1, (m, f)))
+        return (lambda: (x.propagate(a, w) * c1).sum() + (rows.linear(lin_w, bias) * c2).sum(),
+                [x, w, rows, lin_w, bias])
 
     return _with_resampling(make_trial, n_trials, seed)
 
@@ -166,7 +168,7 @@ def gradcheck_siamese(n_trials: int = 100, seed: int = 17) -> float:
 def run_all(n_trials: int = 100, seed: int = 0) -> dict:
     """Every suite; returns {component: max relative error}."""
     return {
-        "matmul": gradcheck_matmul(n_trials, seed + 11),
+        "propagation": gradcheck_propagation(n_trials, seed + 11),
         "elementwise": gradcheck_elementwise(n_trials, seed + 12),
         "softmax": gradcheck_softmax(n_trials, seed + 13),
         "cross_entropy": gradcheck_cross_entropy(n_trials, seed + 14),

@@ -188,7 +188,7 @@ def graph_readout(params, a_hat: np.ndarray, x: Tensor, activation: str = "relu"
         raise ConfigError(f"activation must be 'relu' or 'linear', got {activation!r}")
     z = x
     for w in params.layers:
-        z = z.left_mul(a_hat) @ w
+        z = z.propagate(a_hat, w)
         if activation == "relu":
             z = z.relu()
     return z.reshape(b, n * f).linear(params.readout_w, params.readout_b).relu()

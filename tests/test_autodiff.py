@@ -66,18 +66,39 @@ def test_elementwise_ops_refuse_operands_of_two_shapes():
         Tensor(np.zeros((3, 4))) * Tensor(np.zeros((3, 1)))
 
 
-def test_stacked_matmul_matches_per_matrix_products():
+def test_propagate_matches_per_matrix_products():
     rng = np.random.default_rng(6)
-    a = Tensor(rng.uniform(-1, 1, (5, 3, 4)), requires_grad=True)
-    w = Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-    out = a @ w
+    a = rng.uniform(-1, 1, (3, 3))
+    x = Tensor(rng.uniform(-1, 1, (5, 3, 4)))
+    w = Tensor(rng.uniform(-1, 1, (4, 2)))
+    out = x.propagate(a, w)
+    assert out.shape == (5, 3, 2)
     for i in range(5):
-        assert np.array_equal(out.data[i], a.data[i] @ w.data)
-    out.sum().backward()
-    assert np.allclose(w.grad, sum(a.data[i].T @ np.ones((3, 2)) for i in range(5)))
-    assert np.allclose(a.grad, np.broadcast_to(np.ones((3, 2)) @ w.data.T, (5, 3, 4)))
-    with pytest.raises(DimensionError):
-        a @ Tensor(np.zeros((5, 4, 2)))
+        assert np.allclose(out.data[i], a @ x.data[i] @ w.data, atol=1e-15)
+
+
+def test_propagate_gradients_match_finite_differences():
+    rng = np.random.default_rng(8)
+    a = rng.uniform(-1, 1, (3, 3))
+    xv, wv, pick = rng.uniform(-1, 1, (2, 3, 4)), rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (2, 3, 5))
+    x, w = Tensor(xv, requires_grad=True), Tensor(wv, requires_grad=True)
+    (x.propagate(a, w) * Tensor(pick)).sum().backward()
+
+    def f(xs, ws):
+        return float(sum((a @ m @ ws * p).sum() for m, p in zip(xs, pick)))
+
+    assert max_rel_error(x.grad, numeric_gradient(lambda v: f(v, wv), xv.copy())) < 1e-6
+    assert max_rel_error(w.grad, numeric_gradient(lambda v: f(xv, v), wv.copy())) < 1e-6
+
+
+def test_propagate_shape_mismatch_names_all_three_shapes():
+    x = Tensor(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionError, match=r"\(4, 4\) x \(2, 3, 4\) x \(4, 5\)"):
+        x.propagate(np.eye(4), Tensor(np.zeros((4, 5))))
+    with pytest.raises(DimensionError, match=r"\(3, 3\) x \(2, 3, 4\) x \(3, 5\)"):
+        x.propagate(np.eye(3), Tensor(np.zeros((3, 5))))
+    with pytest.raises(DimensionError, match=r"\(3, 3\) x \(3, 4\) x \(4, 5\)"):
+        Tensor(np.zeros((3, 4))).propagate(np.eye(3), Tensor(np.zeros((4, 5))))
 
 
 def test_linear_is_x_wt_plus_b_with_gradients():
@@ -94,19 +115,6 @@ def test_linear_is_x_wt_plus_b_with_gradients():
         x.linear(Tensor(np.zeros((2, 3))), b)
     with pytest.raises(DimensionError):
         x.linear(w, Tensor(np.zeros(3)))
-
-
-def test_left_mul_is_per_matrix_product_with_transposed_adjoint():
-    rng = np.random.default_rng(8)
-    a = rng.uniform(-1, 1, (3, 3))
-    x = Tensor(rng.uniform(-1, 1, (2, 3, 4)), requires_grad=True)
-    out = x.left_mul(a)
-    assert np.allclose(out.data, np.stack([a @ m for m in x.data]), atol=1e-15)
-    pick = rng.uniform(-1, 1, (2, 3, 4))
-    (out * Tensor(pick)).sum().backward()
-    assert np.allclose(x.grad, np.stack([a.T @ p for p in pick]))
-    with pytest.raises(DimensionError):
-        x.left_mul(np.eye(4))
 
 
 def test_row_softmax_sum_and_concat_on_batches():
@@ -246,6 +254,56 @@ class TestSgd:
 def test_backward_requires_scalar():
     with pytest.raises(UsageError):
         Tensor([1.0, 2.0], requires_grad=True).backward()
+
+
+def test_backward_runs_a_tape_once():
+    x = Tensor([1.0], requires_grad=True)
+    loss = x.affine(2.0).sum()
+    loss.backward()
+    assert np.array_equal(x.grad, [2.0])
+    with pytest.raises(UsageError, match="already ran"):
+        loss.backward()
+    assert np.array_equal(x.grad, [2.0])
+
+
+def test_new_loss_through_a_released_node_is_usage_error():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x.affine(3.0)
+    y.sum().backward()
+    with pytest.raises(UsageError, match="already ran"):
+        (y * y).sum().backward()
+    assert np.array_equal(x.grad, [3.0, 3.0])
+
+
+def test_tensor_used_twice_gets_the_sum_of_both_gradients():
+    xv = np.array([0.5, -2.0, 3.0])
+    x = Tensor(xv, requires_grad=True)
+    (x * x).sum().backward()
+    assert np.array_equal(x.grad, 2.0 * xv)
+    x.grad = None
+    (x + x).sum().backward()
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_parents_sharing_a_gradient_array_stay_independent():
+    x, y = Tensor(np.zeros(3), requires_grad=True), Tensor(np.zeros(3), requires_grad=True)
+    (x + y).sum().backward()
+    assert np.shares_memory(x.grad, y.grad)  # add hands both parents one array
+    (x * Tensor([1.0, 2.0, 3.0])).sum().backward()
+    assert np.array_equal(x.grad, [2.0, 3.0, 4.0])
+    assert np.array_equal(y.grad, [1.0, 1.0, 1.0])
+
+
+def test_sgd_step_writes_into_no_gradient_array():
+    p, q = Tensor([1.0, 2.0], requires_grad=True), Tensor([3.0, 4.0], requires_grad=True)
+    (p + q).sum().backward()
+    grads = [p.grad, q.grad]
+    for g in grads:
+        g.flags.writeable = False  # a write would raise
+    sgd_step([p, q], 0.5)
+    assert np.array_equal(p.data, [0.5, 1.5]) and np.array_equal(q.data, [2.5, 3.5])
+    assert all(np.array_equal(g, [1.0, 1.0]) for g in grads)
+    assert p.grad is None and q.grad is None
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):

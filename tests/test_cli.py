@@ -3,8 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from context_rerank.attention import AttentionParams, init_attention_params
-from context_rerank.autodiff import load_checkpoint, save_checkpoint
+from context_rerank.attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, init_attention_params
+from context_rerank.autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from context_rerank.cli import build_parser, run
 from context_rerank.dataio import load_dataset
 from context_rerank.evaluation import rank_gallery
@@ -425,7 +425,7 @@ class TestGradcheckCommand:
         code = run(["gradcheck", "--trials", "3", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
-        for component in ("matmul", "softmax", "attention_end_to_end", "gcn_pipeline", "siamese_pipeline"):
+        for component in ("propagation", "softmax", "attention_end_to_end", "gcn_pipeline", "siamese_pipeline"):
             assert component in out
         assert "[pass]" in out
         assert "FAIL" not in out
@@ -442,3 +442,17 @@ class TestParser:
                 build_parser().parse_args([cmd, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+    def test_training_defaults_are_the_library_defaults(self, capsys):
+        sgd = SgdConfig()
+        sgd_flags = {"lr": sgd.learning_rate, "epochs": sgd.epochs, "batch_size": sgd.batch_size, "seed": sgd.seed}
+        attn_flags = {"hidden": DEFAULT_HIDDEN, "margin": VerificationConfig().margin}
+        for cmd, required, want in (("train-attn", [], {**sgd_flags, **attn_flags}),
+                                    ("train-gcn", ["--attn", "a"], sgd_flags)):
+            args = build_parser().parse_args([cmd, "--data", "d", "--out", "o", *required])
+            assert {name: getattr(args, name) for name in want} == want
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([cmd, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            for value in want.values():
+                assert f"(default {value})" in help_text

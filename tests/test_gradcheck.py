@@ -8,7 +8,7 @@ from context_rerank.gradcheck import (
     gradcheck_cross_entropy,
     gradcheck_elementwise,
     gradcheck_gcn,
-    gradcheck_matmul,
+    gradcheck_propagation,
     gradcheck_siamese,
     gradcheck_softmax,
     run_all,
@@ -57,8 +57,8 @@ class TestCheckGradients:
 
 
 class TestSuites:
-    def test_matmul(self):
-        assert gradcheck_matmul(TRIALS) < 1e-4
+    def test_propagation(self):
+        assert gradcheck_propagation(TRIALS) < 1e-4
 
     def test_elementwise(self):
         assert gradcheck_elementwise(TRIALS) < 1e-4
@@ -81,7 +81,7 @@ class TestSuites:
     def test_run_all_covers_every_component(self):
         results = run_all(n_trials=3, seed=1)
         assert set(results) == {
-            "matmul",
+            "propagation",
             "elementwise",
             "softmax",
             "cross_entropy",
