@@ -86,20 +86,6 @@ class Tensor:
 
     # -- operations -----------------------------------------------------
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        """``self @ other`` for two matrices."""
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g @ b.T)
-            if other.requires_grad:
-                other._accumulate(a.T @ g)
-
-        return Tensor._result(a @ b, (self, other), backward)
-
     def linear(self, w: "Tensor", b: "Tensor") -> "Tensor":
         """The layer ``self @ w.T + b`` on (B, n) rows, for an (m, n) weight
         and m biases stored in any shape."""

@@ -21,7 +21,7 @@ from . import dataio
 from .attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, build_training_pairs, train_attention
 from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
-from .evaluation import evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
+from .evaluation import check_gallery_size, evaluate, gallery_sweep, rank_gallery, reports_csv, select_queries
 from .expansion import DEFAULT_K
 from .gradcheck import run_all
 from .graph import GcnParams, build_graph_samples, train_gcn
@@ -68,12 +68,17 @@ _GEN_FLAGS = {
 }
 
 
+# the one learning-rate drop the CLI sets: SgdConfig's default (epoch, factor)
+((_LR_DROP_EPOCH, _LR_DROP_FACTOR),) = SgdConfig().schedule
+
+
 def _add_sgd_flags(p):
     sgd = SgdConfig()
     p.add_argument("--lr", type=float, default=sgd.learning_rate, help="initial learning rate (default %(default)s)")
     p.add_argument("--epochs", type=int, default=sgd.epochs, help="training epochs (default %(default)s)")
-    p.add_argument("--lr-drop-epoch", type=int, default=10,
-                   help="epoch after which the learning rate is halved (default 10; 0 disables)")
+    p.add_argument("--lr-drop-epoch", type=int, default=_LR_DROP_EPOCH,
+                   help=f"epoch after which the learning rate is multiplied by {_LR_DROP_FACTOR}, 0 for never"
+                        " (default %(default)s)")
     p.add_argument("--batch-size", type=int, default=sgd.batch_size, help="mini-batch size (default %(default)s)")
     p.add_argument("--seed", type=int, default=sgd.seed, help="RNG seed (default %(default)s)")
 
@@ -169,7 +174,7 @@ def _build_configs(args) -> None:
     if args.command == "train-gcn" and not (math.isfinite(args.neg_ratio) and args.neg_ratio > 0):
         raise ConfigError(f"--neg-ratio must be finite and > 0, got {args.neg_ratio}")
     if args.command in ("train-attn", "train-gcn"):
-        schedule = ((args.lr_drop_epoch, 0.5),) if args.lr_drop_epoch > 0 else ()
+        schedule = ((args.lr_drop_epoch, _LR_DROP_FACTOR),) if args.lr_drop_epoch > 0 else ()
         args.sgd = SgdConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed,
                              batch_size=args.batch_size, schedule=schedule)
     if args.command == "train-attn":
@@ -261,10 +266,9 @@ def _cmd_train_attn(args) -> int:
 def _cmd_train_gcn(args) -> int:
     dataset = dataio.load_dataset(args.data)
     attn = _load_attention(args.attn, dataset)
-    attn_pair = AttentionScorer(attn).scene_scorer(dataset.scenes)
     samples = build_graph_samples(
-        dataset.scenes, attn_pair, k=args.context_k, seed=args.seed, neg_ratio=args.neg_ratio,
-        max_positives=args.max_positives,
+        dataset.scenes, AttentionScorer(attn).pair_matrix, k=args.context_k, seed=args.seed,
+        neg_ratio=args.neg_ratio, max_positives=args.max_positives,
     )
     train = train_gcn if args.mode == "paired" else train_siamese
     params = train(samples, args.sgd)
@@ -282,6 +286,7 @@ def _cmd_rerank(args) -> int:
                 probe_scene, probe = s, i
     if probe is None:
         raise DataError(f"no instance {args.probe!r} in dataset")
+    check_gallery_size(args.gallery_size, dataset.scenes)
     scorer = _make_scorer(args, dataset)
     pool = [s for s in dataset.scenes if s.scene_id != probe_scene.scene_id]
     if args.gallery_size < len(pool):

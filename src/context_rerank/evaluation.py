@@ -26,6 +26,7 @@ __all__ = [
     "select_queries",
     "evaluate",
     "gallery_sweep",
+    "check_gallery_size",
     "reports_csv",
 ]
 
@@ -119,7 +120,7 @@ def _sample_gallery(query: Instance, probe_scene: Scene, scenes, gallery_size: i
     return positives + distractors
 
 
-def _check_gallery_size(gallery_size: int, scenes) -> None:
+def check_gallery_size(gallery_size: int, scenes) -> None:
     if gallery_size < 1:
         raise ConfigError(f"gallery_size must be >= 1, got {gallery_size}")
     if gallery_size > len(scenes) - 1:  # a query's gallery leaves out the probe's own scene
@@ -132,7 +133,7 @@ def evaluate(queries, scenes, scorer, gallery_size: int, seed: int = 0) -> EvalR
     ``queries`` holds (probe_scene, instance) tuples; queries without any
     cross-scene positive are counted as excluded, never silently dropped.
     """
-    _check_gallery_size(gallery_size, scenes)
+    check_gallery_size(gallery_size, scenes)
     aps = []
     top1_hits = 0
     excluded = 0
@@ -165,7 +166,7 @@ def evaluate(queries, scenes, scorer, gallery_size: int, seed: int = 0) -> EvalR
 def gallery_sweep(sizes, queries, scenes, scorer, seed: int = 0):
     """One EvalReport per gallery size; every size is checked before any query is ranked."""
     for size in sizes:
-        _check_gallery_size(size, scenes)
+        check_gallery_size(size, scenes)
     return [evaluate(queries, scenes, scorer, size, seed=seed) for size in sizes]
 
 

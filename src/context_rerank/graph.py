@@ -165,13 +165,12 @@ class GcnParams(ParamSet):
 init_gcn_params = GcnParams.init
 
 
-def graph_readout(params, a_hat: np.ndarray, x: Tensor, activation: str = "relu") -> Tensor:
+def graph_readout(params, a_hat: np.ndarray, x: Tensor) -> Tensor:
     """Propagate a batch of graphs that share ``a_hat`` and read each out.
 
     ``x`` holds (B, N, f) node features and ``params`` the ``layers``,
-    ``readout_w`` and ``readout_b`` of a GCN or of the siamese branch;
-    returns the (B, readout) hidden layer. ``activation='linear'`` disables
-    the propagation nonlinearity (oracle mode).
+    ``readout_w`` and ``readout_b`` of a GCN or of the siamese branch; every
+    layer is ``ReLU(Â·Z·W)``. Returns the (B, readout) hidden layer.
     """
     if x.data.ndim != 3:
         raise DimensionError(f"graph batch must be (B, N, f), got shape {x.shape}")
@@ -184,25 +183,21 @@ def graph_readout(params, a_hat: np.ndarray, x: Tensor, activation: str = "relu"
         raise ConfigError(
             f"graph has {n} nodes but readout expects {width // f} (flatten width {width})"
         )
-    if activation not in ("relu", "linear"):
-        raise ConfigError(f"activation must be 'relu' or 'linear', got {activation!r}")
     z = x
     for w in params.layers:
-        z = z.propagate(a_hat, w)
-        if activation == "relu":
-            z = z.relu()
+        z = z.propagate(a_hat, w).relu()
     return z.reshape(b, n * f).linear(params.readout_w, params.readout_b).relu()
 
 
-def gcn_logits(params: GcnParams, a_hat: np.ndarray, x: Tensor, activation: str = "relu") -> Tensor:
+def gcn_logits(params: GcnParams, a_hat: np.ndarray, x: Tensor) -> Tensor:
     """The GCN on a batch of graphs sharing ``a_hat``: (B, N, f) node
     features -> (B, 2) class logits."""
-    return graph_readout(params, a_hat, x, activation).linear(params.cls_w, params.cls_b)
+    return graph_readout(params, a_hat, x).linear(params.cls_w, params.cls_b)
 
 
-def gcn_forward(params: GcnParams, graph: ContextGraph, activation: str = "relu"):
+def gcn_forward(params: GcnParams, graph: ContextGraph):
     """One graph through ``gcn_logits``; returns its (1, 2) logits and its match score."""
-    logits = gcn_logits(params, graph.norm_adjacency, Tensor(graph.x[None]), activation)
+    logits = gcn_logits(params, graph.norm_adjacency, Tensor(graph.x[None]))
     return logits, float(logits.softmax().data[0, 1])
 
 
@@ -299,14 +294,15 @@ def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = 1.0, max_
     return targets
 
 
-def build_graph_samples(scenes, attn_scorer, k: int = DEFAULT_K, seed: int = 0, neg_ratio: float = 1.0,
+def build_graph_samples(scenes, pair_matrix, k: int = DEFAULT_K, seed: int = 0, neg_ratio: float = 1.0,
                         max_positives: int = None):
     """The training set of either graph model: every labeled target's graph,
-    built as the graph scorers build it, in target order. Each scene pair
-    fills one table from the pair scorer ``attn_scorer``, and each (probe
-    person, gallery scene) gets one ``context_sides``; the scene pairs go one
-    probe scene after another, so ``AttentionScorer.scene_scorer`` keeps its
-    probe side."""
+    built as the graph scorers build it, in target order. A scene pair's
+    table is one ``pair_matrix(probe_scene.instances, gallery_scene.instances)``
+    call, the (n_p, n_g) similarities ``AttentionScorer.pair_matrix`` gives,
+    and each (probe person, gallery scene) gets one ``context_sides``; the
+    scene pairs go one probe scene after another, so the attention scorer
+    keeps its probe side."""
     targets = build_labeled_expansions(scenes, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives)
     scene_of = {s.scene_id: s for s in scenes}
     by_pair = {}  # (probe scene id, gallery scene id) -> probe id -> target indices
@@ -315,7 +311,7 @@ def build_graph_samples(scenes, attn_scorer, k: int = DEFAULT_K, seed: int = 0, 
     samples = [None] * len(targets)
     for probe_scene_id, gallery_scene_id in sorted(by_pair):
         ps, gs = scene_of[probe_scene_id], scene_of[gallery_scene_id]
-        table = np.array([[attn_scorer(p, g) for g in gs.instances] for p in ps.instances], dtype=float)
+        table = pair_matrix(ps.instances, gs.instances)
         for ns in by_pair[probe_scene_id, gallery_scene_id].values():
             row = member_index(ps, targets[ns[0]][0][0], "probe")
             cols, xa, xb = context_sides(table, ps, row, gs, k, seed)

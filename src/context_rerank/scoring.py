@@ -115,28 +115,6 @@ class AttentionScorer(Scorer):
         insts = _persons(gallery_scenes)
         return list(zip(insts, self.pair_matrix([probe], insts)[0]))
 
-    def scene_scorer(self, scenes):
-        """A pair scorer over the persons of ``scenes`` for
-        ``build_graph_samples`` (and ``expand``). The first lookup in a
-        scene pair scores every cross pair of the two scenes in one
-        ``pair_matrix`` call; later lookups reuse it."""
-        scene_of = {s.scene_id: s for s in scenes}
-        tables = {}
-
-        def score(a, b):
-            key = (a.scene_id, b.scene_id)
-            if key not in tables:
-                rows, cols = scene_of[a.scene_id].instances, scene_of[b.scene_id].instances
-                tables[key] = (
-                    {i.instance_id: r for r, i in enumerate(rows)},
-                    {i.instance_id: c for c, i in enumerate(cols)},
-                    self.pair_matrix(rows, cols),
-                )
-            row, col, sim = tables[key]
-            return sim[row[a.instance_id], col[b.instance_id]]
-
-        return score
-
 
 class _ContextScorerBase(Scorer):
     """Shared expansion machinery of the graph-based scorers: every target

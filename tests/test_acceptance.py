@@ -124,13 +124,12 @@ class TestNumericOracles:
             from context_rerank.graph import ContextGraph
 
             graph = ContextGraph(x=x, adjacency=adjacency, norm_adjacency=a_hat)
-            z = Tensor(x)
-            ah = Tensor(a_hat)
+            z = Tensor(x[None])
             for w in params.layers:
-                z = ah @ z @ w
-            worst = max(worst, float(np.max(np.abs(z.data - expected))))
+                z = z.propagate(a_hat, w)
+            worst = max(worst, float(np.max(np.abs(z.data[0] - expected))))
             # and the full forward must run on the same graph
-            gcn_forward(params, graph, activation="linear")
+            gcn_forward(params, graph)
         report("linear-gcn-oracle", worst <= 1e-12, f"max dev {worst:.1e}")
 
     def test_average_precision_oracle(self):
@@ -188,7 +187,7 @@ class TestRetrievalQuality:
         attn = AttentionScorer(ap)
         curve = {}
         for k in (1, 2, 3, 5, 8):
-            samples = build_graph_samples(ds.scenes, attn.pair_score, k=k, seed=42,
+            samples = build_graph_samples(ds.scenes, attn.pair_matrix, k=k, seed=42,
                                           neg_ratio=2.0, max_positives=300)
             gp = train_gcn(samples, SgdConfig(learning_rate=0.3, schedule=(), epochs=15, seed=42))
             rep = evaluate(queries, ds.scenes, GraphScorer(ap, gp, k=k, seed=42), 25, seed=42)

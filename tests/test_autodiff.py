@@ -13,33 +13,6 @@ from context_rerank.autodiff import (
 from context_rerank.errors import ConfigError, DimensionError, NumericError, UsageError
 
 
-def test_matmul_identity():
-    m = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    eye = Tensor(np.eye(2))
-    assert np.array_equal((eye @ m).data, m.data)
-
-
-def test_matmul_hand_example():
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    b = Tensor([[0.0], [1.0]])
-    assert np.array_equal((a @ b).data, [[2.0], [4.0]])
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-        Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
-
-
-def test_matmul_gradient_is_ones_times_bt():
-    rng = np.random.default_rng(7)
-    a = Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
-    b = Tensor(rng.uniform(-1, 1, (4, 2)))
-    (a @ b).sum().backward()
-    assert np.allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-    numeric = numeric_gradient(lambda x: float((x @ b.data).sum()), a.data.copy())
-    assert max_rel_error(a.grad, numeric) < 1e-6
-
-
 def test_relu_values_and_subgradient_at_zero():
     x = Tensor([-1.0, 0.0, 2.0], requires_grad=True)
     y = x.relu()

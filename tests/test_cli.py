@@ -5,7 +5,7 @@ import pytest
 
 from context_rerank.attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, init_attention_params
 from context_rerank.autodiff import SgdConfig, load_checkpoint, save_checkpoint
-from context_rerank.cli import build_parser, run
+from context_rerank.cli import _build_configs, build_parser, run
 from context_rerank.dataio import load_dataset
 from context_rerank.evaluation import rank_gallery
 from context_rerank.graph import GcnParams
@@ -272,7 +272,7 @@ class TestEvalAndRerank:
         checkpoint = workspace["gcn" if scorer == "graph" else "siamese"]
         code = run(["rerank", "--data", str(workspace["data"]), "--probe", probe.instance_id,
                     "--scorer", scorer, "--attn", str(workspace["attn"]), "--gcn", str(checkpoint),
-                    "--context-k", "2", "--gallery-size", str(len(dataset.scenes)), "--seed", "5",
+                    "--context-k", "2", "--gallery-size", str(len(dataset.scenes) - 1), "--seed", "5",
                     "--out", str(out)])
         assert code == 0
         rows = out.read_text().strip().split("\n")[1:]
@@ -294,6 +294,18 @@ class TestEvalAndRerank:
         code = run(["rerank", "--data", str(workspace["data"]), "--probe", "missing",
                     "--scorer", "uniform"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["eval", "rerank"])
+    def test_gallery_above_the_corpus_exits_2(self, workspace, tmp_path, caplog, command):
+        dataset = load_dataset(workspace["data"])
+        n = len(dataset.scenes)
+        probe = ["--probe", dataset.scenes[0].instances[0].instance_id] if command == "rerank" else []
+        out = tmp_path / "out.csv"
+        code = run([command, "--data", str(workspace["data"]), "--scorer", "uniform", *probe,
+                    "--gallery-size", str(n), "--out", str(out)])
+        assert code == 2
+        assert f"gallery_size {n} exceeds corpus of {n} scenes less the probe's own" in caplog.text
+        assert not out.exists()
 
     def test_sweep_rows_per_size(self, workspace, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -445,12 +457,16 @@ class TestParser:
 
     def test_training_defaults_are_the_library_defaults(self, capsys):
         sgd = SgdConfig()
-        sgd_flags = {"lr": sgd.learning_rate, "epochs": sgd.epochs, "batch_size": sgd.batch_size, "seed": sgd.seed}
+        (drop_epoch, _), = sgd.schedule
+        sgd_flags = {"lr": sgd.learning_rate, "epochs": sgd.epochs, "lr_drop_epoch": drop_epoch,
+                     "batch_size": sgd.batch_size, "seed": sgd.seed}
         attn_flags = {"hidden": DEFAULT_HIDDEN, "margin": VerificationConfig().margin}
         for cmd, required, want in (("train-attn", [], {**sgd_flags, **attn_flags}),
                                     ("train-gcn", ["--attn", "a"], sgd_flags)):
             args = build_parser().parse_args([cmd, "--data", "d", "--out", "o", *required])
             assert {name: getattr(args, name) for name in want} == want
+            _build_configs(args)
+            assert args.sgd.schedule == sgd.schedule
             with pytest.raises(SystemExit):
                 build_parser().parse_args([cmd, "--help"])
             help_text = " ".join(capsys.readouterr().out.split())

@@ -8,7 +8,7 @@ from context_rerank.dataio import SynthConfig, generate_synthetic
 from context_rerank.embeddings import Instance, PartEmbedding, Scene, labeled_pairs
 from context_rerank.attention import init_attention_params
 from context_rerank.errors import ConfigError, DataError, UsageError
-from context_rerank.expansion import expand
+from context_rerank.expansion import expand, member_index
 from context_rerank.graph import (
     ContextGraph,
     GcnParams,
@@ -51,6 +51,21 @@ def random_graph(rng, n, f):
         adjacency=a,
         norm_adjacency=normalize_adjacency(a),
     )
+
+
+def table_lookup(scenes, pair_matrix):
+    """A per-pair scorer for ``expand`` that reads each score from its scene
+    pair's ``pair_matrix`` table, one table per scene pair."""
+    scene_of = {s.scene_id: s for s in scenes}
+    tables = {}
+
+    def score(a, b):
+        ps, gs = scene_of[a.scene_id], scene_of[b.scene_id]
+        if (ps.scene_id, gs.scene_id) not in tables:
+            tables[ps.scene_id, gs.scene_id] = pair_matrix(ps.instances, gs.instances)
+        return tables[ps.scene_id, gs.scene_id][member_index(ps, a, "probe"), member_index(gs, b, "gallery")]
+
+    return score
 
 
 def random_sample(rng, n, f, label):
@@ -146,11 +161,13 @@ class TestBuildGraph:
 
 class TestGcnForward:
     def test_linear_gcn_oracle(self):
-        # with identity weights and the linear activation, each layer must
-        # reproduce plain matrix propagation A_hat @ X exactly
+        # with identity weights and non-negative node features every ReLU
+        # passes its input, so each layer must reproduce plain matrix
+        # propagation A_hat @ X exactly
         rng = np.random.default_rng(21)
         for n, f in [(2, 3), (4, 6), (8, 4)]:
-            graph = random_graph(rng, n, f)
+            a = star_adjacency(n)
+            graph = ContextGraph(x=rng.uniform(0.0, 1.0, (n, f)), adjacency=a, norm_adjacency=normalize_adjacency(a))
             params = init_gcn_params(rng, n, f, n_layers=3, readout_dim=5)
             for i in range(3):
                 params.layers[i] = Tensor(np.eye(f), requires_grad=True)
@@ -159,7 +176,7 @@ class TestGcnForward:
                 expected = graph.norm_adjacency @ expected
 
             # re-run the readout by hand on the expected propagation
-            got_logits, got_score = gcn_forward(params, graph, activation="linear")
+            got_logits, got_score = gcn_forward(params, graph)
             flat = expected.reshape(-1, 1)
             h = np.maximum(params.readout_w.data @ flat + params.readout_b.data, 0.0)
             logits = params.cls_w.data @ h + params.cls_b.data
@@ -320,8 +337,11 @@ class TestBuildGraphSamples:
         return scenes
 
     def test_labels_present_and_shared_k(self):
-        scorer = lambda p, g: float(np.dot(p.embedding.parts[0], g.embedding.parts[0]))
-        samples = build_graph_samples(self._scenes(), scorer, k=2, seed=0, neg_ratio=1.0)
+        def table(probe_insts, gallery_insts):
+            return np.array([[np.dot(p.embedding.parts[0], g.embedding.parts[0]) for g in gallery_insts]
+                             for p in probe_insts])
+
+        samples = build_graph_samples(self._scenes(), table, k=2, seed=0, neg_ratio=1.0)
         labels = {s.label for s in samples}
         assert labels == {0, 1}
         assert {x.shape for s in samples for x in (s.xa, s.xb)} == {(3, 8)}
@@ -336,24 +356,38 @@ class TestBuildGraphSamples:
         return ds.scenes, init_attention_params(np.random.default_rng(3), 8, hidden=16)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("table", ["scene_scorer", "pair_score"])
-    def test_samples_match_the_per_target_reference(self, sparse_corpus, k, table):
+    def test_samples_match_the_per_target_reference(self, sparse_corpus, k):
         scenes, attn = sparse_corpus
-
-        def pair_scorer():
-            scorer = AttentionScorer(attn)
-            return scorer.scene_scorer(scenes) if table == "scene_scorer" else scorer.pair_score
-
+        pair_matrix = AttentionScorer(attn).pair_matrix
         targets = build_labeled_expansions(scenes, seed=3, neg_ratio=1.5)
-        samples = build_graph_samples(scenes, pair_scorer(), k=k, seed=3, neg_ratio=1.5)
+        samples = build_graph_samples(scenes, pair_matrix, k=k, seed=3, neg_ratio=1.5)
         assert len(samples) == len(targets)
         scene_of = {s.scene_id: s for s in scenes}
-        reference = pair_scorer()
+        reference = table_lookup(scenes, AttentionScorer(attn).pair_matrix)
         for ((a, b), label), sample in zip(targets, samples):
             ep = expand(scene_of[a.scene_id], a, scene_of[b.scene_id], b, reference, k=k, seed=3)
             xa, xb = side_matrices(ep)
             assert np.array_equal(sample.xa, xa) and np.array_equal(sample.xb, xb)
             assert sample.label == label
+
+    def test_one_table_call_per_scene_pair_one_probe_scene_at_a_time(self, sparse_corpus):
+        scenes, attn = sparse_corpus
+        pair_matrix = AttentionScorer(attn).pair_matrix
+        calls = []
+
+        def recording(probe_insts, gallery_insts):
+            calls.append((probe_insts, gallery_insts))
+            return pair_matrix(probe_insts, gallery_insts)
+
+        targets = build_labeled_expansions(scenes, seed=3, neg_ratio=1.5)
+        build_graph_samples(scenes, recording, k=2, seed=3, neg_ratio=1.5)
+        scene_of = {s.scene_id: s for s in scenes}
+        pairs = [(p[0].scene_id, g[0].scene_id) for p, g in calls]
+        assert sorted(pairs) == sorted({(a.scene_id, b.scene_id) for (a, b), _ in targets})
+        for (p, g), (ps, gs) in zip(calls, pairs):
+            assert p is scene_of[ps].instances and g is scene_of[gs].instances
+        runs = [ps for n, (ps, _) in enumerate(pairs) if n == 0 or pairs[n - 1][0] != ps]
+        assert len(runs) == len(set(runs))
 
     def test_targets_are_the_pairs_expand_finds_context_for(self, sparse_corpus):
         scenes, _ = sparse_corpus
