@@ -16,6 +16,7 @@ from .embeddings import PartEmbedding, R_PARTS, labeled_pairs, part_cosines
 from .errors import ConfigError, DataError, DimensionError, UsageError
 
 DEFAULT_HIDDEN = 256
+DEFAULT_PAIR_NEG_RATIO = 3  # negative pairs sampled per positive each epoch
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def train_attention(
     cfg: SgdConfig,
     vcfg: VerificationConfig = VerificationConfig(),
     hidden: int = DEFAULT_HIDDEN,
-    neg_ratio: int = 3,
+    neg_ratio: int = DEFAULT_PAIR_NEG_RATIO,
     epoch_losses: list = None,
 ) -> AttentionParams:
     """Train the attention head on frozen embeddings.

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio
+from . import attention, dataio, graph
 from .attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, build_training_pairs, train_attention
 from .autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, RerankError, UsageError
@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=VerificationConfig().margin,
                    help="verification loss margin (default %(default)s)")
     p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN, help="hidden width (default %(default)s)")
-    p.add_argument("--neg-ratio", type=int, default=3,
-                   help="negatives sampled per positive each epoch (default 3)")
+    p.add_argument("--neg-ratio", type=int, default=attention.DEFAULT_PAIR_NEG_RATIO,
+                   help="negatives sampled per positive each epoch (default %(default)s)")
     _add_sgd_flags(p)
 
     p = sub.add_parser("train-gcn", help="train the context graph scorer")
@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_k_flag(p)
     p.add_argument("--max-positives", type=int, default=None,
                    help="cap on positive target pairs (default: all)")
-    p.add_argument("--neg-ratio", type=float, default=1.0,
-                   help="negative target pairs per positive (default 1.0)")
+    p.add_argument("--neg-ratio", type=float, default=graph.DEFAULT_TARGET_NEG_RATIO,
+                   help="negative target pairs per positive (default %(default)s)")
     _add_sgd_flags(p)
 
     p = sub.add_parser("rerank", help="rank a gallery for one probe instance")
@@ -234,21 +234,30 @@ def _make_scorer(args, dataset):
     return scorer(attn, params, k=args.context_k, seed=args.seed)
 
 
+def _output(path: Path) -> Path:
+    """``path`` with its missing parent directories made; every output file is written through here."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _write_or_print(text: str, out: Path):
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        _output(out).write_text(text)
 
 
 def _cmd_gen(args) -> int:
     dataset = dataio.generate_synthetic(args.synth)
-    dataio.save_dataset(dataset, args.out)
     report = dataio.validate(dataset)
     for key, value in report.items():
         log.info("gen: %s=%s", key, value)
     for w in report["warnings"]:
         log.warning("gen: %s", w)
+    if not report["positive_pairs"]:
+        raise ConfigError(f"gen: no identity is in two scenes, so no command can evaluate the corpus; identities reach "
+                          f"one by co-travel (--cameras {args.cameras}, --co-travel-prob {args.co_travel_prob})")
+    dataio.save_dataset(dataset, _output(args.out))
     log.info("gen: wrote %s", args.out)
     return 0
 
@@ -258,7 +267,7 @@ def _cmd_train_attn(args) -> int:
     rng = np.random.default_rng((args.seed, 0xA11))
     pairs = build_training_pairs(dataset.scenes, rng)
     params = train_attention(pairs, args.sgd, args.verification, hidden=args.hidden, neg_ratio=args.neg_ratio)
-    save_checkpoint(args.out, params.to_entries())
+    save_checkpoint(_output(args.out), params.to_entries())
     log.info("train-attn: wrote %s", args.out)
     return 0
 
@@ -272,7 +281,7 @@ def _cmd_train_gcn(args) -> int:
     )
     train = train_gcn if args.mode == "paired" else train_siamese
     params = train(samples, args.sgd)
-    save_checkpoint(args.out, params.to_entries())
+    save_checkpoint(_output(args.out), params.to_entries())
     log.info("train-gcn: wrote %s", args.out)
     return 0
 
@@ -309,7 +318,7 @@ def _cmd_eval(args) -> int:
     _write_or_print(reports_csv([report]), args.out)
     if args.per_query is not None:
         lines = ["query_index,ap"] + [f"{i},{ap:.6f}" for i, ap in enumerate(report.per_query_ap)]
-        args.per_query.write_text("\n".join(lines) + "\n")
+        _write_or_print("\n".join(lines) + "\n", args.per_query)
     log.info("eval: scorer=%s gallery_size=%d mAP=%.4f top1=%.4f",
              report.scorer, report.gallery_size, report.map, report.top1)
     return 0
@@ -355,10 +364,12 @@ def run(argv=None) -> int:
                 raise ConfigError(f"--{dest.replace('_', '-')} must be >= {least}, got {value}")
         _build_configs(args)
         for path in (getattr(args, "out", None), getattr(args, "per_query", None)):
-            if path is not None:  # before any work: make the parent, refuse a directory
-                path.parent.mkdir(parents=True, exist_ok=True)
+            if path is not None:  # before any input is read, making nothing: not a directory, not under a file
                 if path.is_dir():
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                above = next(p for p in path.parents if p.exists())
+                if not above.is_dir():
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(above))
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         log.error("missing file: %s", e)

@@ -193,8 +193,8 @@ class SynthConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.view_noise_sigma < 0:
-            raise ConfigError(f"view_noise_sigma must be >= 0, got {self.view_noise_sigma}")
+        if not 0 <= self.view_noise_sigma <= 1e150:  # a larger sigma overflows a noisy part's squared norm
+            raise ConfigError(f"view_noise_sigma must be in [0, 1e150], got {self.view_noise_sigma}")
         if self.group_size_mean < 1:
             raise ConfigError(f"group_size_mean must be >= 1, got {self.group_size_mean}")
         if self.instances_per_scene > self.num_identities:
@@ -309,13 +309,16 @@ def validate(dataset: Dataset) -> dict:
         graph_trainable_pairs += len(sa.instances) > 1 and len(sb.instances) > 1
 
     warnings = []
-    if graph_trainable_pairs == 0:
+    if not pairs:
+        warnings.append("no positive pair: no identity appears in two scenes, so no query can be evaluated")
+    elif graph_trainable_pairs == 0:
         warnings.append("zero graph-trainable pairs: every positive pair involves a singleton scene")
     return {
         "num_scenes": len(dataset.scenes),
         "num_instances": sum(len(s.instances) for s in dataset.scenes),
         "num_identities": len({i.identity for i in labeled}),
         "singleton_scenes": sum(len(s.instances) == 1 for s in dataset.scenes),
+        "positive_pairs": len(pairs),
         "cross_camera_positive_pairs": cross_camera_positive_pairs,
         "graph_trainable_pairs": graph_trainable_pairs,
         "warnings": warnings,

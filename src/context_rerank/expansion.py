@@ -132,15 +132,17 @@ def expand(
 
 
 def scene_contexts(table: np.ndarray, probe_scene: Scene, probe_row: int, gallery_scene: Scene,
-                   k: int = DEFAULT_K, seed: int = 0) -> list:
-    """The contexts ``expand`` chooses for the probe, person ``probe_row`` of
+                   k: int = DEFAULT_K, seed: int = 0) -> np.ndarray:
+    """The graphs ``expand`` builds for the probe, person ``probe_row`` of
     ``probe_scene``, against every person of ``gallery_scene``, with the
     candidate scores read from ``table``: the score of every (probe scene
     person, gallery scene person) pair.
 
-    Returns one entry per gallery person, in scene order: None when it has
-    no context candidate, else the K (probe scene index, gallery scene
-    index) pairs of its contexts in context order.
+    Returns the (T, 2, K+1) integer node indices of the T gallery persons
+    that have a context candidate, in scene order: row 0 indexes
+    ``probe_scene`` and row 1 ``gallery_scene``, the target pair first and
+    then the K contexts in context order. So ``nodes[:, 1, 0]`` are the
+    targets' positions in ``gallery_scene``.
     """
     if k < 1:
         raise UsageError(f"context K must be >= 1, got {k}")
@@ -162,19 +164,12 @@ def scene_contexts(table: np.ndarray, probe_scene: Scene, probe_row: int, galler
     # person gets that same matching: its candidates were skipped or came
     # after the last pair taken. Only the at most K others need their own.
     everyone = greedy(None)
-    own = {gallery_ids[c]: None for _, c in everyone}
-    out = []
-    for target, target_id in zip(gallery_scene.instances, gallery_ids):
-        if target_id in own:
-            if own[target_id] is None:
-                own[target_id] = greedy(target_id)
-            chosen = own[target_id]
-        else:
-            chosen = everyone
-        if not chosen:
-            out.append(None)
-        elif len(chosen) < k:
-            out.append([chosen[i] for i in _replicate(len(chosen), k, seed, probe, target)])
-        else:
-            out.append(chosen)
-    return out
+    taken = {gallery_ids[c] for _, c in everyone}
+    nodes = []
+    for t, target in enumerate(gallery_scene.instances):
+        chosen = greedy(target.instance_id) if target.instance_id in taken else everyone
+        if chosen:
+            if len(chosen) < k:
+                chosen = [chosen[i] for i in _replicate(len(chosen), k, seed, probe, target)]
+            nodes.append(list(zip((probe_row, t), *chosen)))
+    return np.array(nodes, dtype=int).reshape(-1, 2, k + 1)

@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_LAYERS = 3
 READOUT_DIM = 1024
+DEFAULT_TARGET_NEG_RATIO = 1.0  # negative training targets per positive
 
 
 def star_adjacency(n: int) -> np.ndarray:
@@ -55,29 +56,11 @@ def node_features(insts) -> np.ndarray:
 
 def side_matrices(ep: ExpandedPair):
     """Node feature matrices (probe side, gallery side), each (K+1, f), of an expanded pair: the
-    target pair in row 0, then the context pairs (the per-target reference of ``context_sides``)."""
+    target pair in row 0, then the context pairs (the per-target reference of the
+    ``scene_contexts`` node rows)."""
     pairs = [ep.target] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
     xa, xb = np.split(node_features([a for a, _ in pairs] + [b for _, b in pairs]), 2)
     return xa, xb
-
-
-def context_sides(table: np.ndarray, probe_scene, probe_row: int, gallery_scene,
-                  k: int = DEFAULT_K, seed: int = 0):
-    """The graphs of the probe, person ``probe_row`` of ``probe_scene``, with
-    the contexts ``scene_contexts`` picks from ``table``: (cols, xa, xb), the
-    indices of the persons of ``gallery_scene`` that have context, in scene
-    order, and their stacked (len(cols), K+1, f) probe-side and gallery-side
-    node features, the target pair in row 0."""
-    n_p = len(probe_scene.instances)
-    feats = node_features((*probe_scene.instances, *gallery_scene.instances))
-    cols, side_a, side_b = [], [], []
-    for t, chosen in enumerate(scene_contexts(table, probe_scene, probe_row, gallery_scene, k, seed)):
-        if chosen is not None:
-            cols.append(t)
-            side_a.append([probe_row] + [p for p, _ in chosen])
-            side_b.append([n_p + t] + [n_p + g for _, g in chosen])
-    index = np.array([side_a, side_b], dtype=int).reshape(2, len(cols), k + 1)
-    return cols, feats[index[0]], feats[index[1]]
 
 
 @dataclass(frozen=True)
@@ -238,7 +221,8 @@ def train_gcn(samples, cfg: SgdConfig, epoch_losses: list = None) -> GcnParams:
     return fit_graph_model(samples, cfg, GcnParams, epoch_losses)
 
 
-def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = 1.0, max_positives: int = None):
+def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = DEFAULT_TARGET_NEG_RATIO,
+                             max_positives: int = None):
     """Labeled ((probe, gallery), label) training targets.
 
     Every same-identity cross-scene pair becomes a positive, plus a seeded
@@ -263,6 +247,8 @@ def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = 1.0, max_
     if n_pos and not target_neg:
         raise ConfigError(f"--neg-ratio {neg_ratio} gives no negative for {n_pos} positive targets")
     n = len(labeled)
+    if target_neg > n * n:
+        raise ConfigError(f"--neg-ratio {neg_ratio} asks for more negatives than the {n * n} labeled pairs")
     n_neg = 0
 
     # hard negatives: wrong person drawn from a scene that holds a true match,
@@ -294,15 +280,15 @@ def build_labeled_expansions(scenes, seed: int = 0, neg_ratio: float = 1.0, max_
     return targets
 
 
-def build_graph_samples(scenes, pair_matrix, k: int = DEFAULT_K, seed: int = 0, neg_ratio: float = 1.0,
-                        max_positives: int = None):
+def build_graph_samples(scenes, pair_matrix, k: int = DEFAULT_K, seed: int = 0,
+                        neg_ratio: float = DEFAULT_TARGET_NEG_RATIO, max_positives: int = None):
     """The training set of either graph model: every labeled target's graph,
     built as the graph scorers build it, in target order. A scene pair's
     table is one ``pair_matrix(probe_scene.instances, gallery_scene.instances)``
     call, the (n_p, n_g) similarities ``AttentionScorer.pair_matrix`` gives,
-    and each (probe person, gallery scene) gets one ``context_sides``; the
-    scene pairs go one probe scene after another, so the attention scorer
-    keeps its probe side."""
+    and each (probe person, gallery scene) gets one ``scene_contexts``, whose
+    node rows index the two scenes' ``node_features``; the scene pairs go one
+    probe scene after another, so the attention scorer keeps its probe side."""
     targets = build_labeled_expansions(scenes, seed=seed, neg_ratio=neg_ratio, max_positives=max_positives)
     scene_of = {s.scene_id: s for s in scenes}
     by_pair = {}  # (probe scene id, gallery scene id) -> probe id -> target indices
@@ -312,11 +298,12 @@ def build_graph_samples(scenes, pair_matrix, k: int = DEFAULT_K, seed: int = 0, 
     for probe_scene_id, gallery_scene_id in sorted(by_pair):
         ps, gs = scene_of[probe_scene_id], scene_of[gallery_scene_id]
         table = pair_matrix(ps.instances, gs.instances)
+        xa, xb = node_features(ps.instances), node_features(gs.instances)
         for ns in by_pair[probe_scene_id, gallery_scene_id].values():
-            row = member_index(ps, targets[ns[0]][0][0], "probe")
-            cols, xa, xb = context_sides(table, ps, row, gs, k, seed)
+            nodes = scene_contexts(table, ps, member_index(ps, targets[ns[0]][0][0], "probe"), gs, k, seed)
+            cols = nodes[:, 1, 0].tolist()
             for n in ns:
                 (_, b), label = targets[n]
-                t = cols.index(member_index(gs, b, "gallery"))
-                samples[n] = GraphSample(xa[t], xb[t], label)
+                a_nodes, b_nodes = nodes[cols.index(member_index(gs, b, "gallery"))]
+                samples[n] = GraphSample(xa[a_nodes], xb[b_nodes], label)
     return samples

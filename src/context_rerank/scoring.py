@@ -23,8 +23,8 @@ from .attention import AttentionParams, attention_head, slot_halves, slot_rows
 from .autodiff import Tensor
 from .embeddings import Instance, cosine_matrix, uniform_weights
 from .errors import ConfigError, UsageError
-from .expansion import member_index, pair_rng
-from .graph import GcnParams, context_sides, gcn_score_batch
+from .expansion import member_index, pair_rng, scene_contexts
+from .graph import GcnParams, gcn_score_batch, node_features
 
 SCORER_NAMES = ("uniform", "attention", "graph", "siamese", "oracle", "random")
 
@@ -137,20 +137,21 @@ class _ContextScorerBase(Scorer):
 
     def _score_targets(self, probe_scene, probe, gallery_scene):
         """Score every person of one gallery scene. The targets that have
-        context go to ``gcn_score_batch`` with the node features
-        ``context_sides`` gathers; the others fall back to the rescaled pair
-        similarity. One attention-similarity matrix of the scene pair serves
-        the context choice of every target and the fallback. The probe is
-        the person of ``probe_scene`` with its id."""
+        context go to ``gcn_score_batch`` with the node features the
+        ``scene_contexts`` node rows pick from the two scenes; the others
+        fall back to the rescaled pair similarity. One attention-similarity
+        matrix of the scene pair serves the context choice of every target
+        and the fallback. The probe is the person of ``probe_scene`` with its id."""
         insts = gallery_scene.instances
         if not insts:
             return []
         row = member_index(probe_scene, probe, "probe")
         table = self.attn.pair_matrix(probe_scene.instances, insts)
         scores = (table[row] + 1.0) / 2.0
-        cols, xa, xb = context_sides(table, probe_scene, row, gallery_scene, self.k, self.seed)
-        if cols:
-            scores[cols] = gcn_score_batch(self.params, xa, xb)
+        nodes = scene_contexts(table, probe_scene, row, gallery_scene, self.k, self.seed)
+        if len(nodes):
+            scores[nodes[:, 1, 0]] = gcn_score_batch(self.params, node_features(probe_scene.instances)[nodes[:, 0]],
+                                                     node_features(insts)[nodes[:, 1]])
         return list(zip(insts, scores))
 
 

@@ -1,14 +1,22 @@
+import inspect
 import logging
 
 import numpy as np
 import pytest
 
-from context_rerank.attention import DEFAULT_HIDDEN, AttentionParams, VerificationConfig, init_attention_params
+from context_rerank.attention import (
+    DEFAULT_HIDDEN,
+    DEFAULT_PAIR_NEG_RATIO,
+    AttentionParams,
+    VerificationConfig,
+    init_attention_params,
+    train_attention,
+)
 from context_rerank.autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from context_rerank.cli import _build_configs, build_parser, run
 from context_rerank.dataio import load_dataset
 from context_rerank.evaluation import rank_gallery
-from context_rerank.graph import GcnParams
+from context_rerank.graph import DEFAULT_TARGET_NEG_RATIO, GcnParams, build_graph_samples, build_labeled_expansions
 from context_rerank.scoring import GraphScorer, SiameseScorer
 from context_rerank.siamese import SiameseParams
 
@@ -64,6 +72,17 @@ class TestGen:
     def test_infeasible_config_exits_2(self, tmp_path):
         code = run(GEN_ARGS + ["--instances-per-scene", "50", "--out", str(tmp_path / "x.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--cameras", "1"], ["--co-travel-prob", "0"]], ids="_".join)
+    def test_corpus_without_a_positive_pair_exits_2_writing_nothing(self, tmp_path, caplog, flags):
+        # no identity in two scenes: eval would find no query to rank
+        out = tmp_path / "new" / "x.jsonl"
+        assert run(["gen", "--identities", "24", *flags, "--out", str(out)]) == 2
+        assert "no identity is in two scenes" in caplog.text
+        assert "--cameras" in caplog.text and "--co-travel-prob" in caplog.text
+        assert "no positive pair" in caplog.text
+        assert "singleton scene" not in caplog.text
+        assert not (tmp_path / "new").exists()
 
 
 class TestTraining:
@@ -357,6 +376,34 @@ def test_missing_output_directory_is_made(workspace, tmp_path):
     assert out.read_text().startswith("scorer,")
 
 
+def test_missing_per_query_directory_is_made(workspace, tmp_path):
+    out = tmp_path / "new" / "pq.csv"
+    assert run(["eval", "--data", str(workspace["data"]), "--scorer", "uniform", "--gallery-size", "5",
+                "--max-queries", "4", "--per-query", str(out)]) == 0
+    assert out.read_text().startswith("query_index,ap\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--scorer", "uniform", "--gallery-size", "9999"], "gallery_size 9999 exceeds corpus"),
+    (["sweep", "--scorer", "uniform", "--sizes", "5,9999"], "gallery_size 9999 exceeds corpus"),
+    (["rerank", "--scorer", "uniform", "--probe", "{probe}", "--gallery-size", "9999"],
+     "gallery_size 9999 exceeds corpus"),
+    (["eval", "--scorer", "graph", "--attn", "{attn}", "--gcn", "{gcn}", "--context-k", "3"],
+     "readout expects 3"),
+    (["train-gcn", "--attn", "{attn}", "--epochs", "1", "--neg-ratio", "0.001"], "gives no negative"),
+    (["train-gcn", "--attn", "{attn}", "--epochs", "1", "--neg-ratio", "1e300"], "--neg-ratio 1e+300 asks for more negatives than the 1444 labeled pairs"),
+], ids=["eval_gallery", "sweep_sizes", "rerank_gallery", "eval_context_k", "train_gcn_neg_ratio",
+        "train_gcn_huge_neg_ratio"])
+def test_value_refused_against_the_input_exits_2_making_no_directory(workspace, tmp_path, caplog, argv, message):
+    # checked once the input is read: the output's parent is made only when the command writes
+    probe = load_dataset(workspace["data"]).scenes[0].instances[0].instance_id
+    argv = [a.format(probe=probe, **workspace) for a in argv]
+    out = tmp_path / "new" / "sub" / "out"
+    assert run(argv[:1] + ["--data", str(workspace["data"]), "--out", str(out)] + argv[1:]) == 2
+    assert message in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def with_missing_inputs(tmp_path, argv):
     """``argv`` plus its command's required paths, input files that do not
     exist, and an output file ``tmp_path / "new" / "out"`` where the command
@@ -409,6 +456,7 @@ BAD_VALUES = [
     (["train-attn", "--margin", "2"], "margin must be in [0, 1), got 2.0"),
     (["train-attn", "--epochs", "0"], "epochs must be >= 1, got 0"),
     (["gen", "--co-travel-prob", "2"], "co_travel_prob must be in [0, 1], got 2.0"),
+    (["gen", "--noise-sigma", "1e300"], "view_noise_sigma must be in [0, 1e150], got 1e+300"),
     (["eval", "--scorer", "attention"], "this scorer needs --attn"),
     (["rerank", "--probe", "p", "--attn", "missing.ckpt"], "scorer 'graph' needs --gcn"),
     (["sweep", "--sizes", "0,5"], "--sizes must be >= 1, got 0"),
@@ -460,9 +508,14 @@ class TestParser:
         (drop_epoch, _), = sgd.schedule
         sgd_flags = {"lr": sgd.learning_rate, "epochs": sgd.epochs, "lr_drop_epoch": drop_epoch,
                      "batch_size": sgd.batch_size, "seed": sgd.seed}
-        attn_flags = {"hidden": DEFAULT_HIDDEN, "margin": VerificationConfig().margin}
+        attn_flags = {"hidden": DEFAULT_HIDDEN, "margin": VerificationConfig().margin,
+                      "neg_ratio": DEFAULT_PAIR_NEG_RATIO}
+        for fn in (build_graph_samples, build_labeled_expansions):
+            assert inspect.signature(fn).parameters["neg_ratio"].default == DEFAULT_TARGET_NEG_RATIO
+        assert inspect.signature(train_attention).parameters["neg_ratio"].default == DEFAULT_PAIR_NEG_RATIO
+        gcn_flags = {**sgd_flags, "neg_ratio": DEFAULT_TARGET_NEG_RATIO}
         for cmd, required, want in (("train-attn", [], {**sgd_flags, **attn_flags}),
-                                    ("train-gcn", ["--attn", "a"], sgd_flags)):
+                                    ("train-gcn", ["--attn", "a"], gcn_flags)):
             args = build_parser().parse_args([cmd, "--data", "d", "--out", "o", *required])
             assert {name: getattr(args, name) for name in want} == want
             _build_configs(args)

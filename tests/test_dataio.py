@@ -256,6 +256,14 @@ class TestValidate:
         assert report["num_identities"] <= cfg.num_identities
         assert report["num_identities"] > 0
 
+    @pytest.mark.parametrize("change", [{"num_cameras": 1}, {"co_travel_prob": 0.0}])
+    def test_corpus_without_a_positive_pair_warns_of_that(self, change):
+        report = validate(generate_synthetic(SynthConfig(**{**SMALL, **change})))
+        assert report["positive_pairs"] == 0
+        assert report["singleton_scenes"] == 0
+        assert report["warnings"] == ["no positive pair: no identity appears in two scenes, "
+                                      "so no query can be evaluated"]
+
     def test_singleton_only_dataset_warns(self):
         rng = np.random.default_rng(0)
         scenes = []
@@ -267,4 +275,4 @@ class TestValidate:
         report = validate(Dataset(d=8, scenes=tuple(scenes)))
         assert report["singleton_scenes"] == 3
         assert report["graph_trainable_pairs"] == 0
-        assert report["warnings"]
+        assert report["warnings"] == ["zero graph-trainable pairs: every positive pair involves a singleton scene"]

@@ -163,6 +163,7 @@ class TestIdentityGrouping:
             "num_instances": 10,
             "num_identities": 5,
             "singleton_scenes": 1,
+            "positive_pairs": 3,  # (m3, b1), (k1, c1) and (a2, e1)
             "cross_camera_positive_pairs": 2,  # (k1, c1) and (a2, e1)
             "graph_trainable_pairs": 2,  # (m3, b1) and (a2, e1); (k1, c1) touches the singleton sD
             "warnings": [],

@@ -220,12 +220,20 @@ class TestSceneContexts:
             row = int(rng.integers(len(ps.instances)))
             probe = ps.instances[row]
             k = int(rng.integers(1, 5))
-            got = scene_contexts(table, ps, row, gs, k=k, seed=trial)
-            assert len(got) == len(gs.instances)
-            for target, chosen in zip(gs.instances, got):
+            nodes = scene_contexts(table, ps, row, gs, k=k, seed=trial)
+            expected = []
+            for target in gs.instances:
                 ep = expand(ps, probe, gs, target, table_scorer(scores), k=k, seed=trial)
-                if ep.degenerate:
-                    assert chosen is None
-                else:
-                    assert [(ps.instances[p].instance_id, gs.instances[g].instance_id) for p, g in chosen] == [
-                        (c.probe_ctx.instance_id, c.gallery_ctx.instance_id) for c in ep.contexts]
+                if not ep.degenerate:
+                    pairs = [(probe, target)] + [(c.probe_ctx, c.gallery_ctx) for c in ep.contexts]
+                    expected.append([[ps.instances.index(p) for p, _ in pairs],
+                                     [gs.instances.index(g) for _, g in pairs]])
+            assert nodes.dtype.kind == "i"
+            assert nodes.shape == (len(expected), 2, k + 1)
+            assert nodes.tolist() == expected
+
+    def test_no_candidate_gives_an_empty_integer_array(self):
+        ps, gs = make_scene("sp", ["p0"]), make_scene("sg", ["g0", "g1"])
+        nodes = scene_contexts(np.zeros((1, 2)), ps, 0, gs, k=3)
+        assert nodes.shape == (0, 2, 4)
+        assert nodes.dtype.kind == "i"

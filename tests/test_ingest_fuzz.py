@@ -9,16 +9,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from context_rerank.attention import init_attention_params
 from context_rerank.autodiff import load_checkpoint, save_checkpoint
 from context_rerank.dataio import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from context_rerank.errors import RerankError
-
-FUZZ = settings(derandomize=True, max_examples=150, deadline=None, database=None,
-                suppress_health_check=[HealthCheck.function_scoped_fixture])
+from fuzzing import FUZZ
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=12),
