@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamSet, SgdConfig, Tensor, fit, glorot_uniform, multiple_of
-from .embeddings import PartEmbedding, R_PARTS, labeled_pairs, part_cosines
+from .embeddings import PartEmbedding, R_PARTS, labeled_pairs
 from .errors import ConfigError, DataError, DimensionError, UsageError
 
 DEFAULT_HIDDEN = 256
@@ -124,8 +124,11 @@ def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig) -> Tensor
         if y not in (1, -1):
             raise UsageError(f"verification label must be +1 or -1, got {y!r}")
     pairs = [order_pair(a, b) for a, b, _ in batch]
-    w = attention_forward(params, Tensor(np.stack([pair_descriptor(a, b) for a, b in pairs])))
-    cosines = Tensor(np.stack([part_cosines(a, b) for a, b in pairs]))
+    first = np.stack([a.parts for a, _ in pairs])  # (B, R, d)
+    second = np.stack([b.parts for _, b in pairs])
+    # row n is pair_descriptor(*pairs[n]), and its cosines part_cosines(*pairs[n])
+    w = attention_forward(params, Tensor(np.concatenate((first, second), axis=2).reshape(len(pairs), -1)))
+    cosines = Tensor(np.einsum("brd,brd->br", first, second))
     s = (w * cosines).sum(axis=-1)
     # 1 - s for positives (never negative, as s <= 1), max(0, s + margin) for negatives
     positive = np.array([y == 1 for _, _, y in batch])
@@ -137,6 +140,12 @@ def build_training_pairs(scenes, rng: np.random.Generator):
     """All labeled cross-scene same-identity pairs as positives, plus a seeded
     pool of cross-identity negatives, 10 per positive.
 
+    A negative is a draw (i, j) of two labeled persons of different
+    identities, kept the first time its unordered pair is drawn. Drawing
+    stops at 10 negatives per positive or after 50 draws per negative wanted.
+    The draws come in array chunks, so the state ``rng`` is left in is
+    unspecified: pass a stream of its own and do not reuse it.
+
     Returns a list of (Instance, Instance, y) with y in {+1, -1}.
     """
     labeled, pairs = labeled_pairs(scenes)
@@ -145,26 +154,25 @@ def build_training_pairs(scenes, rng: np.random.Generator):
         raise DataError("no cross-scene same-identity pairs available for training")
 
     target = 10 * len(positives)
-    negatives = []
-    seen = set()
     n = len(labeled)
-    attempts = 0
-    while len(negatives) < target and attempts < 50 * target:
-        attempts += 1
-        i, j = rng.integers(0, n, size=2)
-        if i == j:
-            continue
-        a, b = labeled[i], labeled[j]
-        if a.identity == b.identity:
-            continue
-        key = (min(a.instance_id, b.instance_id), max(a.instance_id, b.instance_id))
-        if key in seen:
-            continue
-        seen.add(key)
-        negatives.append((a, b, -1))
-    if not negatives:
+    identity = np.array([inst.identity for inst in labeled])
+    taken = np.empty(0, dtype=np.int64)  # min(i, j) * n + max(i, j) of each negative, in draw order
+    chosen = []
+    draws_left = 50 * target
+    while len(taken) < target and draws_left:
+        m = min(draws_left, max(2 * (target - len(taken)), 4096))
+        draws_left -= m
+        ij = rng.integers(0, n, size=(m, 2))
+        i, j = ij.T
+        kept = np.flatnonzero((i != j) & (identity[i] != identity[j]))
+        keys = np.minimum(i, j)[kept] * n + np.maximum(i, j)[kept]
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        new = first[~np.isin(keys[first], taken)][: target - len(taken)]
+        taken = np.concatenate((taken, keys[new]))
+        chosen.extend(ij[kept[new]].tolist())
+    if not chosen:
         raise DataError("no cross-identity pairs available for training")
-    return positives + negatives
+    return positives + [(labeled[i], labeled[j], -1) for i, j in chosen]
 
 
 def train_attention(

@@ -325,11 +325,17 @@ class SgdConfig:
 
 
 def sgd_step(params, lr: float):
-    """p <- p - lr * grad for every parameter, then set each grad to None."""
+    """p <- p - lr * grad in place for every parameter, then set each grad to
+    None. Blocks of about NumPy's ufunc buffer size along the first axis (views
+    in any layout) keep the ``lr * grad`` temporary that small."""
     for p in params:
         if p.grad is None:
             raise UsageError("sgd_step: parameter has no gradient (call backward first)")
-        p.data -= lr * p.grad
+        data, grad = np.atleast_1d(p.data, p.grad)  # a 0-d parameter is a view of shape (1,)
+        rows = max(1, np.getbufsize() * len(data) // max(1, data.size))
+        for start in range(0, len(data), rows):
+            block = data[start : start + rows]
+            block -= lr * grad[start : start + rows]
         p.grad = None
 
 

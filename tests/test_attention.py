@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from context_rerank import attention
 from context_rerank.attention import (
     AttentionParams,
     VerificationConfig,
@@ -15,7 +16,8 @@ from context_rerank.attention import (
     verification_loss,
 )
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
-from context_rerank.embeddings import Instance, PartEmbedding, Scene, fused_similarity, part_cosines
+from context_rerank.dataio import SynthConfig, generate_synthetic
+from context_rerank.embeddings import Instance, PartEmbedding, Scene, fused_similarity, labeled_pairs, part_cosines
 from context_rerank.errors import ConfigError, DataError, DimensionError, UsageError
 from context_rerank.scoring import AttentionScorer
 
@@ -150,6 +152,14 @@ class TestVerificationLoss:
         for i, t in enumerate(params.tensors()):
             assert np.allclose(t.grad, np.mean([g[i] for g in grads], axis=0), atol=1e-12)
 
+    def test_batch_descriptors_are_the_per_pair_rows(self, monkeypatch):
+        params = make_params(21)
+        batch = [(make_embedding(100 + i), make_embedding(120 + i), 1 if i % 2 else -1) for i in range(7)]
+        seen = []
+        monkeypatch.setattr(attention, "attention_forward", lambda p, x: seen.append(x.data) or attention_forward(p, x))
+        pair_loss(params, batch, VerificationConfig())
+        assert np.array_equal(seen[0], np.stack([pair_descriptor(*order_pair(a, b)) for a, b, _ in batch]))
+
 
 def make_corpus(n_scenes=6, per_scene=3, n_ids=6, d=8, seed=0):
     rng = np.random.default_rng(seed)
@@ -180,6 +190,53 @@ class TestTraining:
             assert a.identity == b.identity and a.scene_id != b.scene_id
         for a, b, y in neg:
             assert a.identity != b.identity
+
+    @staticmethod
+    def per_draw_pairs(scenes, rng):
+        """Reference: the negatives drawn one pair of indices at a time."""
+        labeled, pairs = labeled_pairs(scenes)
+        positives = [(a, b, 1) for a, b in pairs]
+        target, n = 10 * len(positives), len(labeled)
+        negatives, seen, attempts = [], set(), 0
+        while len(negatives) < target and attempts < 50 * target:
+            attempts += 1
+            i, j = rng.integers(0, n, size=2)
+            a, b = labeled[i], labeled[j]
+            key = (min(a.instance_id, b.instance_id), max(a.instance_id, b.instance_id))
+            if i != j and a.identity != b.identity and key not in seen:
+                seen.add(key)
+                negatives.append((a, b, -1))
+        if not negatives:
+            raise DataError("no cross-identity pairs available for training")
+        return positives + negatives
+
+    def assert_same_pairs(self, scenes, seed):
+        expected = self.per_draw_pairs(scenes, np.random.default_rng(seed))
+        got = build_training_pairs(scenes, np.random.default_rng(seed))
+        assert len(got) == len(expected)
+        assert all(a is c and b is d and y == z for (a, b, y), (c, d, z) in zip(got, expected))
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negatives_match_the_per_draw_loop(self, seed):
+        scenes = generate_synthetic(SynthConfig(seed=seed)).scenes
+        self.assert_same_pairs(scenes, (seed, 0xA11))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negatives_match_the_per_draw_loop_when_the_draw_cap_binds(self, seed):
+        # two identities in eight scenes: 56 positives want 560 negatives,
+        # but only 64 cross-identity pairs exist
+        scenes = make_corpus(n_scenes=8, per_scene=2, n_ids=2, seed=seed)
+        pairs = self.assert_same_pairs(scenes, seed)
+        n_pos = sum(y == 1 for _, _, y in pairs)
+        assert n_pos == 56 and len(pairs) - n_pos < 10 * n_pos
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_no_cross_identity_pair_is_data_error(self, seed):
+        scenes = make_corpus(n_scenes=4, per_scene=1, n_ids=1, seed=seed)
+        for build in (self.per_draw_pairs, build_training_pairs):
+            with pytest.raises(DataError, match="no cross-identity pairs"):
+                build(scenes, np.random.default_rng(seed))
 
     def test_build_pairs_requires_positives(self):
         scenes = make_corpus(n_scenes=1)

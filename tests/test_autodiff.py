@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,42 @@ class TestSgd:
             (p * p).sum().backward()
             sgd_step([p], 0.1)
             assert np.allclose(p.data, [expected])
+
+    def test_step_is_bit_equal_to_the_full_size_update(self):
+        rng = np.random.default_rng(3)
+        for shape in [(512, 512), (3, 5), (1, 20000), (20000, 1), (7,), ()]:
+            data, grad = rng.standard_normal(shape), rng.standard_normal(shape)
+            expected = data - 0.37 * grad
+            p = Tensor(data, requires_grad=True)
+            p.grad = grad
+            sgd_step([p], 0.37)
+            assert p.data is data and np.array_equal(data, expected)
+
+    def test_step_makes_no_parameter_sized_temporary(self):
+        rng = np.random.default_rng(4)
+        p = Tensor(rng.standard_normal((512, 512)), requires_grad=True)
+        p.grad = rng.standard_normal((512, 512))
+        tracemalloc.start()
+        try:
+            sgd_step([p], 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes / 4
+
+    @pytest.mark.parametrize("layout", ["fortran", "transposed"])
+    def test_step_updates_a_non_contiguous_parameter_in_place(self, layout):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal((300, 40))
+        view = np.asfortranarray(base) if layout == "fortran" else base.T
+        grad = rng.standard_normal(view.shape)
+        expected = view - 0.5 * grad
+        p = Tensor(view, requires_grad=True)
+        p.grad = grad
+        sgd_step([p], 0.5)
+        assert p.data is view and np.array_equal(view, expected)
+        if layout == "transposed":
+            assert np.array_equal(base, expected.T)
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ConfigError):
