@@ -108,15 +108,6 @@ def attention_weights_batch(params: AttentionParams, descriptors: np.ndarray) ->
     return attention_forward(params, Tensor(descriptors)).data
 
 
-def verification_loss(s: float, y: int, cfg: VerificationConfig) -> float:
-    """1 - s for positives; hinge max(0, s + margin) for negatives."""
-    if y == 1:
-        return 1.0 - s
-    if y == -1:
-        return max(0.0, s + cfg.margin)
-    raise UsageError(f"verification label must be +1 or -1, got {y!r}")
-
-
 def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig) -> Tensor:
     """Tape-building mean verification loss of the fused similarity over a
     minibatch of (PartEmbedding, PartEmbedding, y) pairs."""
@@ -126,7 +117,7 @@ def pair_loss(params: AttentionParams, batch, cfg: VerificationConfig) -> Tensor
     pairs = [order_pair(a, b) for a, b, _ in batch]
     first = np.stack([a.parts for a, _ in pairs])  # (B, R, d)
     second = np.stack([b.parts for _, b in pairs])
-    # row n is pair_descriptor(*pairs[n]), and its cosines part_cosines(*pairs[n])
+    # row n is pair_descriptor(*pairs[n]); its cosines are the dot products of its R part pairs
     w = attention_forward(params, Tensor(np.concatenate((first, second), axis=2).reshape(len(pairs), -1)))
     cosines = Tensor(np.einsum("brd,brd->br", first, second))
     s = (w * cosines).sum(axis=-1)

@@ -231,20 +231,6 @@ class Tensor:
 
         return Tensor._result(self.data.reshape(*shape), (self,), backward)
 
-    def concat(self, other: "Tensor") -> "Tensor":
-        """Concatenate along the last axis."""
-        n = self.data.shape[-1]
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g[..., :n])
-            if other.requires_grad:
-                other._accumulate(g[..., n:])
-
-        return Tensor._result(
-            np.concatenate([self.data, other.data], axis=-1), (self, other), backward
-        )
-
     def item(self) -> float:
         return float(self.data)
 

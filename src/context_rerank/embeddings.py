@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError
 
 R_PARTS = 4
 PART_NAMES = ("whole", "upper", "middle", "lower")
@@ -101,32 +101,6 @@ class Scene:
 def uniform_weights() -> np.ndarray:
     """The fixed 0.25-per-part fusion baseline."""
     return np.full(R_PARTS, 0.25)
-
-
-def _check_weights(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (R_PARTS,):
-        raise UsageError(f"part weights: expected shape (4,), got {w.shape}")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise UsageError(f"part weights must be nonnegative and sum to 1, got {w}")
-    return w
-
-
-def part_cosine(a: PartEmbedding, b: PartEmbedding, r: int) -> float:
-    """Cosine of one part pair; equals the dot product by the unit-norm invariant."""
-    if not 0 <= r < R_PARTS:
-        raise UsageError(f"part index must be in 0..3, got {r}")
-    return float(np.dot(a.parts[r], b.parts[r]))
-
-
-def part_cosines(a: PartEmbedding, b: PartEmbedding) -> np.ndarray:
-    return np.einsum("rd,rd->r", a.parts, b.parts)
-
-
-def fused_similarity(a: PartEmbedding, b: PartEmbedding, w) -> float:
-    """Weighted sum of per-part cosines."""
-    w = _check_weights(w)
-    return float(np.dot(w, part_cosines(a, b)))
 
 
 def cosine_matrix(group_a: Sequence[PartEmbedding], group_b: Sequence[PartEmbedding]) -> np.ndarray:

@@ -147,10 +147,10 @@ def _graph_suite(cls, n_trials: int, seed: int) -> float:
         f = int(rng.integers(2, 5))
         b = int(rng.integers(1, 5))
         params = cls.init(rng, n, cls.NODE_SIDES * f, readout_dim=int(rng.integers(3, 7)))
-        xa = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
-        xb = Tensor(rng.uniform(-1, 1, (b, n, f)), requires_grad=True)
+        xa, xb = (rng.uniform(-1, 1, (b, n, f)) for _ in range(2))
+        x = Tensor(params.inputs(xa, xb), requires_grad=True)  # every node feature of both sides
         labels = rng.integers(0, 2, size=b)
-        return lambda: params.logits(xa, xb).cross_entropy_binary(labels), params.tensors() + [xa, xb]
+        return lambda: params.logits(x).cross_entropy_binary(labels), params.tensors() + [x]
 
     return _with_resampling(make_trial, n_trials, seed)
 
@@ -161,7 +161,7 @@ def gradcheck_gcn(n_trials: int = 100, seed: int = 16) -> float:
 
 
 def gradcheck_siamese(n_trials: int = 100, seed: int = 17) -> float:
-    """The siamese baseline: one shared branch per side, concatenated readouts."""
+    """The siamese baseline: one shared branch over both sides, a pair's readouts side by side."""
     return _graph_suite(SiameseParams, n_trials, seed)
 
 

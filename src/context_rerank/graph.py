@@ -91,7 +91,7 @@ def build_graph(ep: ExpandedPair) -> ContextGraph:
             f"build_graph needs exactly K={ep.k} contexts, got {len(ep.contexts)}"
             + (" (degenerate target)" if ep.degenerate else "")
         )
-    x = np.concatenate(side_matrices(ep), axis=1)
+    x = GcnParams.inputs(*side_matrices(ep))
     a = star_adjacency(len(x))
     return ContextGraph(x=x, adjacency=a, norm_adjacency=normalize_adjacency(a))
 
@@ -139,10 +139,15 @@ class GcnParams(ParamSet):
         """The normalized star Â of ``n_nodes`` nodes, built once: parameter shapes never change."""
         return normalize_adjacency(star_adjacency(self.n_nodes))
 
-    def logits(self, xa: Tensor, xb: Tensor) -> Tensor:
-        """(B, 2) class logits of (B, N, f) probe-side and gallery-side node
+    @staticmethod
+    def inputs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """The model's input for (..., N, f) probe-side and gallery-side node
         features: the paired GCN reads the two sides next to each other."""
-        return gcn_logits(self, self.a_hat, xa.concat(xb))
+        return np.concatenate((xa, xb), axis=-1)
+
+    def logits(self, x: Tensor) -> Tensor:
+        """(B, 2) class logits of a batch laid out by ``inputs``."""
+        return gcn_logits(self, self.a_hat, x)
 
 
 init_gcn_params = GcnParams.init
@@ -187,14 +192,13 @@ def gcn_forward(params: GcnParams, graph: ContextGraph):
 def gcn_score_batch(params: GcnParams, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Match scores of either graph model for (B, N, f) probe-side and
     gallery-side node features; returns (B,) positive-class probabilities."""
-    return params.logits(Tensor(xa), Tensor(xb)).softmax().data[:, 1]
+    return params.logits(Tensor(params.inputs(xa, xb))).softmax().data[:, 1]
 
 
 def sample_loss(params: GcnParams, samples) -> Tensor:
     """Mean cross-entropy of either graph model on a minibatch of samples."""
-    xa = Tensor(np.stack([s.xa for s in samples]))
-    xb = Tensor(np.stack([s.xb for s in samples]))
-    return params.logits(xa, xb).cross_entropy_binary([s.label for s in samples])
+    x = params.inputs(np.stack([s.xa for s in samples]), np.stack([s.xb for s in samples]))
+    return params.logits(Tensor(x)).cross_entropy_binary([s.label for s in samples])
 
 
 def fit_graph_model(samples, cfg: SgdConfig, cls, epoch_losses=None):

@@ -1,12 +1,15 @@
 """Two-graph comparison mode: one star graph per image, shared-weight GCN.
 
 Each side's graph holds single-instance features (target first, then its
-context co-travelers); the two branch readouts are concatenated before the
-binary classifier. Kept as a baseline against the paired-node graph, and
-trained on the same GraphSamples.
+context co-travelers); one branch pass reads both sides' graphs, and a
+pair's two readouts sit side by side before the binary classifier. Kept as
+a baseline against the paired-node graph, and trained on the same
+GraphSamples.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .autodiff import SgdConfig, Tensor
 from .graph import GcnParams, fit_graph_model, graph_readout
@@ -20,18 +23,24 @@ class SiameseParams(GcnParams):
     READOUTS = 2
     NODE_SIDES = 1
 
-    def logits(self, xa: Tensor, xb: Tensor) -> Tensor:
-        return siamese_forward(self, xa, xb)
+    @staticmethod
+    def inputs(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """(B, N, f) sides as one (2B, N, f) stack: pair i's two sides in rows 2i and 2i + 1."""
+        return np.stack((xa, xb), axis=1).reshape(-1, *xa.shape[1:])
+
+    def logits(self, x: Tensor) -> Tensor:
+        return siamese_forward(self, x)
 
 
 init_siamese_params = SiameseParams.init
 
 
-def siamese_forward(params: SiameseParams, xa: Tensor, xb: Tensor) -> Tensor:
-    """Both sides of a batch of pairs, each (B, N, f), through the shared
-    branch on ``params.a_hat``; returns the (B, 2) class logits."""
-    h = graph_readout(params, params.a_hat, xa).concat(graph_readout(params, params.a_hat, xb))
-    return h.linear(params.cls_w, params.cls_b)
+def siamese_forward(params: SiameseParams, x: Tensor) -> Tensor:
+    """A batch laid out by ``SiameseParams.inputs`` through the shared branch
+    on ``params.a_hat`` in one pass; each pair's two readouts, one row
+    ``[h_a ‖ h_b]``, go to the classifier. Returns the (B, 2) class logits."""
+    h = graph_readout(params, params.a_hat, x)
+    return h.reshape(-1, 2 * h.shape[1]).linear(params.cls_w, params.cls_b)
 
 
 def train_siamese(samples, cfg: SgdConfig, epoch_losses: list = None) -> SiameseParams:

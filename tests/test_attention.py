@@ -13,13 +13,13 @@ from context_rerank.attention import (
     pair_descriptor,
     pair_loss,
     train_attention,
-    verification_loss,
 )
 from context_rerank.autodiff import SgdConfig, Tensor, load_checkpoint, save_checkpoint
 from context_rerank.dataio import SynthConfig, generate_synthetic
-from context_rerank.embeddings import Instance, PartEmbedding, Scene, fused_similarity, labeled_pairs, part_cosines
+from context_rerank.embeddings import Instance, PartEmbedding, Scene, labeled_pairs
 from context_rerank.errors import ConfigError, DataError, DimensionError, UsageError
 from context_rerank.scoring import AttentionScorer
+from reference import fused_similarity, part_cosines, verification_loss
 
 
 def make_embedding(seed=0, d=8):

@@ -7,12 +7,11 @@ from context_rerank.embeddings import (
     Instance,
     PartEmbedding,
     Scene,
-    fused_similarity,
     labeled_pairs,
-    part_cosine,
     uniform_weights,
 )
 from context_rerank.errors import DataError, UsageError
+from reference import fused_similarity, part_cosine
 
 
 def unit_parts(rng, d=8):

@@ -27,7 +27,7 @@ from context_rerank.graph import (
     train_gcn,
 )
 from context_rerank.scoring import AttentionScorer, GraphScorer
-from context_rerank.siamese import init_siamese_params, train_siamese
+from context_rerank.siamese import SiameseParams, init_siamese_params, train_siamese
 
 
 def make_instance(iid, scene_id, identity=None, d=8, seed=None):
@@ -209,10 +209,12 @@ class TestGcnForward:
         batched = gcn_score_batch(params, xa, xb)
         assert np.allclose(batched, singles, atol=1e-12)
 
-    def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self):
+    @pytest.mark.parametrize("cls", [GcnParams, SiameseParams], ids=lambda cls: cls.__name__)
+    def test_batch_loss_is_mean_of_sample_losses_with_mean_gradient(self, cls):
+        # for the siamese model this checks the interleaved sides on gradients too
         rng = np.random.default_rng(7)
         n, f = 4, 3
-        params = init_gcn_params(rng, n, 2 * f, readout_dim=9)
+        params = cls.init(rng, n, cls.NODE_SIDES * f, readout_dim=9)
         samples = [random_sample(rng, n, f, i % 2) for i in range(5)]
         singles, grads = [], []
         for s in samples:

@@ -15,7 +15,6 @@ from context_rerank.embeddings import (
     Instance,
     PartEmbedding,
     Scene,
-    fused_similarity,
     uniform_weights,
 )
 from context_rerank.evaluation import rank_gallery
@@ -38,6 +37,7 @@ from context_rerank.scoring import (
     UniformScorer,
 )
 from context_rerank.siamese import SiameseParams, init_siamese_params
+from reference import fused_similarity
 
 
 def make_instance(iid, scene_id, identity=None, d=8):
@@ -242,9 +242,9 @@ def test_loaded_parameters_are_constants_and_their_forwards_link_no_parents():
     gcn = GcnParams.from_entries(init_gcn_params(rng, 3, 16, readout_dim=5).to_entries())
     siam = SiameseParams.from_entries(init_siamese_params(rng, 3, 8, readout_dim=5).to_entries())
     assert not any(t.requires_grad for params in (attn, gcn, siam) for t in params.tensors())
-    sides = [Tensor(rng.standard_normal((2, 3, 8))) for _ in range(2)]
-    for out in (attention_forward(attn, Tensor(rng.standard_normal((5, 64)))), gcn.logits(*sides),
-                siam.logits(*sides)):
+    sides = [rng.standard_normal((2, 3, 8)) for _ in range(2)]
+    for out in (attention_forward(attn, Tensor(rng.standard_normal((5, 64)))),
+                gcn.logits(Tensor(gcn.inputs(*sides))), siam.logits(Tensor(siam.inputs(*sides)))):
         assert not out.requires_grad and out._parents == () and out._backward is None
 
 

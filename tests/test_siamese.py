@@ -51,9 +51,8 @@ def reference_logits(params, xa, xb):
 
 def forward(params, sides):
     """Logits of a list of (xa, xb) pairs through one batched forward."""
-    xa = Tensor(np.stack([s[0] for s in sides]))
-    xb = Tensor(np.stack([s[1] for s in sides]))
-    return siamese_forward(params, xa, xb).data
+    x = params.inputs(np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides]))
+    return siamese_forward(params, Tensor(x)).data
 
 
 class TestForward:
@@ -119,8 +118,8 @@ class TestForward:
         grads = [t.grad.copy() for t in params.tensors()]
         for t in params.tensors():
             t.grad = None
-        xa, xb = (Tensor(np.stack([getattr(s, side) for s in samples])) for side in ("xa", "xb"))
-        expected = siamese_forward(params, xa, xb).cross_entropy_binary([s.label for s in samples])
+        x = params.inputs(*(np.stack([getattr(s, side) for s in samples]) for side in ("xa", "xb")))
+        expected = siamese_forward(params, Tensor(x)).cross_entropy_binary([s.label for s in samples])
         expected.backward()
         assert loss.item() == expected.item()
         for grad, t in zip(grads, params.tensors()):
