@@ -137,14 +137,10 @@ class Tensor:
     def add(self, other: "Tensor") -> "Tensor":
         return self._binary(other, np.add, lambda g: g, lambda g: g)
 
-    def sub(self, other: "Tensor") -> "Tensor":
-        return self._binary(other, np.subtract, lambda g: g, np.negative)
-
     def mul(self, other: "Tensor") -> "Tensor":
         return self._binary(other, np.multiply, lambda g: g * other.data, lambda g: g * self.data)
 
     __add__ = add
-    __sub__ = sub
     __mul__ = mul
 
     def affine(self, alpha: float) -> "Tensor":

@@ -63,13 +63,14 @@ def _ranks(*ids) -> list:
     return [[rank[v] for v in group] for group in ids]
 
 
-def _greedy(scores, probe_ranks, gallery_ranks, k: int) -> list:
-    """The greedy one-to-one matching: indices of the chosen candidates, in
-    the order taken. Candidates go by descending score, ties by (probe
-    rank, gallery rank); one whose probe or gallery rank is already taken
+def _greedy(order, probe_ranks, gallery_ranks, k: int, taken) -> list:
+    """The greedy one-to-one matching: one walk of the candidate indices in
+    ``order`` (descending score, ties by (probe rank, gallery rank)) that
+    returns the chosen ones in the order taken. A candidate whose probe or
+    gallery rank is already taken, or whose gallery rank is in ``taken``,
     is skipped; at most k are taken."""
-    chosen, used_p, used_g = [], set(), set()
-    for c in np.lexsort((gallery_ranks, probe_ranks, np.negative(scores))).tolist():
+    chosen, used_p, used_g = [], set(), set(taken)
+    for c in order:
         p, g = probe_ranks[c], gallery_ranks[c]
         if p in used_p or g in used_g:
             continue
@@ -90,11 +91,11 @@ def select_top_k(candidates, scorer, k: int):
     """
     if k < 1:
         raise UsageError(f"context K must be >= 1, got {k}")
-    if not candidates:
-        return []
     scores = [float(scorer(p, g)) for p, g in candidates]
-    chosen = _greedy(scores, *_ranks([p.instance_id for p, _ in candidates],
-                                     [g.instance_id for _, g in candidates]), k)
+    probe_ranks, gallery_ranks = _ranks([p.instance_id for p, _ in candidates],
+                                        [g.instance_id for _, g in candidates])
+    order = np.lexsort((gallery_ranks, probe_ranks, np.negative(scores))).tolist()
+    chosen = _greedy(order, probe_ranks, gallery_ranks, k, ())
     return [ContextPair(*candidates[c], scores[c]) for c in chosen]
 
 
@@ -143,31 +144,24 @@ def scene_contexts(table: np.ndarray, probe_scene: Scene, probe_row: int, galler
     ``probe_scene`` and row 1 ``gallery_scene``, the target pair first and
     then the K contexts in context order. So ``nodes[:, 1, 0]`` are the
     targets' positions in ``gallery_scene``.
+
+    Leaving a gallery person out does not reorder the other candidates, so
+    the candidates are sorted once and each target's matching is one walk
+    of that order that skips the target's column.
     """
     if k < 1:
         raise UsageError(f"context K must be >= 1, got {k}")
     probe = probe_scene.instances[probe_row]
     rows = [r for r, i in enumerate(probe_scene.instances) if i.instance_id != probe.instance_id]
-    gallery_ids = [i.instance_id for i in gallery_scene.instances]
-    row_ranks, col_ranks = _ranks([probe_scene.instances[r].instance_id for r in rows], gallery_ids)
-    candidates = table[rows]
-
-    def greedy(target_id):
-        cols = [c for c, i in enumerate(gallery_ids) if i != target_id]
-        if not rows or not cols:
-            return []
-        chosen = _greedy(candidates[:, cols].reshape(-1), [r for r in row_ranks for _ in cols],
-                         [col_ranks[c] for c in cols] * len(rows), k)
-        return [(rows[c // len(cols)], cols[c % len(cols)]) for c in chosen]
-
-    # A target whose id is not taken by the matching over every gallery
-    # person gets that same matching: its candidates were skipped or came
-    # after the last pair taken. Only the at most K others need their own.
-    everyone = greedy(None)
-    taken = {gallery_ids[c] for _, c in everyone}
+    row_ranks, col_ranks = _ranks([probe_scene.instances[r].instance_id for r in rows],
+                                  [i.instance_id for i in gallery_scene.instances])
+    width = len(col_ranks)
+    probe_ranks, gallery_ranks = [r for r in row_ranks for _ in col_ranks], col_ranks * len(rows)
+    order = np.lexsort((gallery_ranks, probe_ranks, np.negative(table[rows].reshape(-1)))).tolist()
     nodes = []
     for t, target in enumerate(gallery_scene.instances):
-        chosen = greedy(target.instance_id) if target.instance_id in taken else everyone
+        chosen = [(rows[c // width], c % width)
+                  for c in _greedy(order, probe_ranks, gallery_ranks, k, (col_ranks[t],))]
         if chosen:
             if len(chosen) < k:
                 chosen = [chosen[i] for i in _replicate(len(chosen), k, seed, probe, target)]

@@ -83,14 +83,14 @@ def gradcheck_propagation(n_trials: int = 100, seed: int = 11) -> float:
 
 
 def gradcheck_elementwise(n_trials: int = 100, seed: int = 12) -> float:
-    """Add, sub, mul, affine and ReLU on two (m, n) operands, then weighted row sums."""
+    """Add, mul, affine and ReLU on two (m, n) operands, then weighted row sums."""
 
     def make_trial(rng):
         m, n = (int(v) for v in rng.integers(1, 6, size=2))
         x, y = (Tensor(rng.uniform(-1, 1, (m, n)), requires_grad=True) for _ in range(2))
         rows = Tensor(rng.uniform(-1, 1, m))
         alpha = float(rng.uniform(-2, 2))
-        return lambda: ((x.relu() * y + (x - y).affine(alpha)).sum(axis=1) * rows).sum(), [x, y]
+        return lambda: ((x.relu() * y + (x + y.affine(-1.0)).affine(alpha)).sum(axis=1) * rows).sum(), [x, y]
 
     return _with_resampling(make_trial, n_trials, seed)
 

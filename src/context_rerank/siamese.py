@@ -32,9 +32,6 @@ class SiameseParams(GcnParams):
         return siamese_forward(self, x)
 
 
-init_siamese_params = SiameseParams.init
-
-
 def siamese_forward(params: SiameseParams, x: Tensor) -> Tensor:
     """A batch laid out by ``SiameseParams.inputs`` through the shared branch
     on ``params.a_hat`` in one pass; each pair's two readouts, one row

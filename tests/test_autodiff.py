@@ -29,7 +29,7 @@ def test_elementwise_gradients_match_finite_differences():
     yv = rng.uniform(0.1, 1, 5)
     x = Tensor(xv, requires_grad=True)
     y = Tensor(yv, requires_grad=True)
-    ((x + y) * x - y.affine(0.5)).sum().backward()
+    ((x + y) * x + y.affine(-0.5)).sum().backward()
     num_x = numeric_gradient(lambda v: float(((v + yv) * v - 0.5 * yv).sum()), xv.copy())
     assert max_rel_error(x.grad, num_x) < 1e-6
 

@@ -16,7 +16,13 @@ from context_rerank.autodiff import SgdConfig, load_checkpoint, save_checkpoint
 from context_rerank.cli import _build_configs, build_parser, run
 from context_rerank.dataio import load_dataset
 from context_rerank.evaluation import rank_gallery
-from context_rerank.graph import DEFAULT_TARGET_NEG_RATIO, GcnParams, build_graph_samples, build_labeled_expansions
+from context_rerank.graph import (
+    DEFAULT_TARGET_NEG_RATIO,
+    READOUT_DIM,
+    GcnParams,
+    build_graph_samples,
+    build_labeled_expansions,
+)
 from context_rerank.scoring import GraphScorer, SiameseScorer
 from context_rerank.siamese import SiameseParams
 
@@ -137,16 +143,16 @@ class TestTraining:
                f"dataset has d=8" in caplog.text
 
 # (entry, damage, expected shape) for the workspace checkpoints: hidden width 8
-# (TRAIN_ARGS), paired GCN layers of 2 x 16 features, readout 1024
+# (TRAIN_ARGS), paired GCN layers of 2 x 16 features, readout READOUT_DIM
 WRONG_SHAPES = [
     ("attention/w1", lambda a: a.reshape(-1), "2-D"),
     ("attention/b1", lambda a: np.vstack([a, a[:1]]), "(8, 1)"),
     ("attention/w2", lambda a: a[:, :-1], "(4, 8)"),
     ("attention/b2", lambda a: a[:-1], "(4, 1)"),
     ("gcn/layer1", lambda a: a[:-1, :-1], "(32, 32)"),
-    ("gcn/readout_b", lambda a: a[:-1], "(1024, 1)"),
+    ("gcn/readout_b", lambda a: a[:-1], f"({READOUT_DIM}, 1)"),
     # a one-node graph (K = 0): the readout must read the probe pair and a context
-    ("gcn/readout_w", lambda a: a[:, :32], "(1024, a multiple of 32 >= 64)"),
+    ("gcn/readout_w", lambda a: a[:, :32], f"({READOUT_DIM}, a multiple of 32 >= 64)"),
     ("gcn/cls_b", lambda a: np.vstack([a, a[:1]]), "(2, 1)"),
 ]
 

@@ -210,10 +210,13 @@ class TestSceneContexts:
     def test_matches_expand_per_target(self):
         # every target of a scene pair from one table, against expand with
         # per-pair lookups: ties, ids out of scene order, replication and
-        # degenerate targets included
+        # degenerate targets included; then an all-tie grid, where only the
+        # id ranks order the candidates, and crowded scenes of up to 12
+        # persons a side
         rng = np.random.default_rng(21)
-        for trial, levels in enumerate([1000] * 40 + [3] * 40):
-            ps, gs = random_scenes(rng)
+        trials = [(1000, 5)] * 40 + [(3, 5)] * 40 + [(1, 5)] * 20 + [(1000, 12)] * 20
+        for trial, (levels, persons) in enumerate(trials):
+            ps, gs = random_scenes(rng, persons)
             scores = random_scores(rng, ps, gs, levels)
             table = np.array([[scores[(p.instance_id, g.instance_id)] for g in gs.instances]
                               for p in ps.instances])

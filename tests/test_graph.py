@@ -27,7 +27,7 @@ from context_rerank.graph import (
     train_gcn,
 )
 from context_rerank.scoring import AttentionScorer, GraphScorer
-from context_rerank.siamese import SiameseParams, init_siamese_params, train_siamese
+from context_rerank.siamese import SiameseParams, train_siamese
 
 
 def make_instance(iid, scene_id, identity=None, d=8, seed=None):
@@ -118,7 +118,7 @@ class TestStarAdjacency:
             with pytest.raises(ConfigError):
                 normalize_adjacency(star_adjacency(3), mode)
 
-    @pytest.mark.parametrize("init", [init_gcn_params, init_siamese_params])
+    @pytest.mark.parametrize("init", [init_gcn_params, SiameseParams.init])
     def test_params_carry_the_normalized_star_of_their_k(self, init):
         for k in range(1, 5):
             params = init(np.random.default_rng(k), k + 1, 2, readout_dim=3)

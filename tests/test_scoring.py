@@ -36,7 +36,7 @@ from context_rerank.scoring import (
     SiameseScorer,
     UniformScorer,
 )
-from context_rerank.siamese import SiameseParams, init_siamese_params
+from context_rerank.siamese import SiameseParams
 from reference import fused_similarity
 
 
@@ -224,7 +224,7 @@ class TestGraphScorer:
 
 
     @pytest.mark.parametrize("scorer_class, init", [(GraphScorer, init_gcn_params),
-                                                     (SiameseScorer, init_siamese_params)],
+                                                     (SiameseScorer, SiameseParams.init)],
                              ids=["graph", "siamese"])
     def test_k_that_does_not_fit_the_parameters_is_refused_when_built(self, scorer_class, init):
         rng = np.random.default_rng(6)
@@ -240,7 +240,7 @@ def test_loaded_parameters_are_constants_and_their_forwards_link_no_parents():
     rng = np.random.default_rng(10)
     attn = AttentionParams.from_entries(init_attention_params(rng, 8, hidden=6).to_entries())
     gcn = GcnParams.from_entries(init_gcn_params(rng, 3, 16, readout_dim=5).to_entries())
-    siam = SiameseParams.from_entries(init_siamese_params(rng, 3, 8, readout_dim=5).to_entries())
+    siam = SiameseParams.from_entries(SiameseParams.init(rng, 3, 8, readout_dim=5).to_entries())
     assert not any(t.requires_grad for params in (attn, gcn, siam) for t in params.tensors())
     sides = [rng.standard_normal((2, 3, 8)) for _ in range(2)]
     for out in (attention_forward(attn, Tensor(rng.standard_normal((5, 64)))),
@@ -253,7 +253,7 @@ class TestSiameseScorer:
         ps, gs = scene_pair
         rng = np.random.default_rng(4)
         attn = init_attention_params(rng, 8, hidden=6)
-        siam = init_siamese_params(rng, 3, 8, readout_dim=5)
+        siam = SiameseParams.init(rng, 3, 8, readout_dim=5)
         scorer = SiameseScorer(attn, siam, k=2, seed=7)
         probe = ps.instances[0]
         for inst, score in scorer.score_scene(ps, probe, gs):
@@ -291,7 +291,7 @@ def build_scorer(name, attn_class=AttentionScorer):
     if name == "graph":
         return GraphScorer(attn, init_gcn_params(rng, 3, 16, readout_dim=5), k=2, seed=7)
     if name == "siamese":
-        return SiameseScorer(attn, init_siamese_params(rng, 3, 8, readout_dim=5), k=2, seed=7)
+        return SiameseScorer(attn, SiameseParams.init(rng, 3, 8, readout_dim=5), k=2, seed=7)
     return {"uniform": UniformScorer, "attention": lambda: attn_class(attn), "oracle": OracleScorer,
             "random": lambda: RandomScorer(seed=3)}[name]()
 

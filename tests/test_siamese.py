@@ -18,7 +18,6 @@ from context_rerank.graph import (
 from context_rerank.scoring import SiameseScorer
 from context_rerank.siamese import (
     SiameseParams,
-    init_siamese_params,
     samples_from_expansions,
     siamese_forward,
     train_siamese,
@@ -59,7 +58,7 @@ class TestForward:
     def test_swapping_sides_swaps_branches_exactly(self):
         # shared weights: the branch readouts are the same function of each side
         rng = np.random.default_rng(0)
-        params = init_siamese_params(rng, 4, 6, readout_dim=5)
+        params = SiameseParams.init(rng, 4, 6, readout_dim=5)
         xa, xb = random_sides(rng, 4, 6)
         logits_ab, logits_ba = forward(params, [(xa, xb), (xb, xa)])
         half = params.cls_w.shape[1] // 2
@@ -85,7 +84,7 @@ class TestForward:
 
     def test_score_in_unit_interval(self):
         rng = np.random.default_rng(1)
-        params = init_siamese_params(rng, 3, 5, readout_dim=4)
+        params = SiameseParams.init(rng, 3, 5, readout_dim=4)
         sides = [random_sides(rng, 3, 5) for _ in range(10)]
         scores = gcn_score_batch(
             params, np.stack([s[0] for s in sides]), np.stack([s[1] for s in sides])
@@ -95,7 +94,7 @@ class TestForward:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(2)
         n, f = 4, 5
-        params = init_siamese_params(rng, n, f, readout_dim=6)
+        params = SiameseParams.init(rng, n, f, readout_dim=6)
         sides = [random_sides(rng, n, f) for _ in range(5)]
         singles = []
         for xa, xb in sides:
@@ -111,7 +110,7 @@ class TestForward:
         # the one loss of both graph models runs the siamese forward through params.logits
         rng = np.random.default_rng(9)
         n, f = 3, 4
-        params = init_siamese_params(rng, n, f, readout_dim=5)
+        params = SiameseParams.init(rng, n, f, readout_dim=5)
         samples = [GraphSample(*random_sides(rng, n, f), label=i % 2) for i in range(4)]
         loss = sample_loss(params, samples)
         loss.backward()
@@ -127,7 +126,7 @@ class TestForward:
 
     def test_mismatched_node_count_is_config_error(self):
         rng = np.random.default_rng(7)
-        params = init_siamese_params(rng, 3, 5, readout_dim=4)
+        params = SiameseParams.init(rng, 3, 5, readout_dim=4)
         with pytest.raises(ConfigError):
             forward(params, [random_sides(rng, 4, 5)])
         with pytest.raises(ConfigError):
@@ -203,7 +202,7 @@ class TestGraphScore:
         rng = np.random.default_rng(5)
         attn = init_attention_params(rng, 8, hidden=6)
         attn.w2.data[:] = 0.0
-        params = init_siamese_params(rng, 2, 8, readout_dim=4)
+        params = SiameseParams.init(rng, 2, 8, readout_dim=4)
         [(inst, score)] = SiameseScorer(attn, params, k=1, seed=0).score_scene(ps, probe, gs)
         assert inst is target
         assert score == pytest.approx(0.25, abs=1e-12)
@@ -211,7 +210,7 @@ class TestGraphScore:
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(6)
-    params = init_siamese_params(rng, 3, 5, readout_dim=4)
+    params = SiameseParams.init(rng, 3, 5, readout_dim=4)
     path = tmp_path / "siam.ckpt"
     save_checkpoint(path, params.to_entries())
     restored = SiameseParams.from_entries(load_checkpoint(path))
@@ -220,7 +219,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
 
 def test_params_differ_from_the_gcn_only_in_prefix_and_classifier_fan_in():
-    siam = init_siamese_params(np.random.default_rng(8), 3, 5, readout_dim=4)
+    siam = SiameseParams.init(np.random.default_rng(8), 3, 5, readout_dim=4)
     gcn = init_gcn_params(np.random.default_rng(8), 3, 5, readout_dim=4)
     names = ["layer0", "layer1", "layer2", "readout_w", "readout_b", "cls_w", "cls_b"]
     assert list(siam.to_entries()) == [f"siamese/{n}" for n in names]
