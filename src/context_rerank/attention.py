@@ -94,9 +94,10 @@ def slot_halves(params: AttentionParams) -> np.ndarray:
 
 
 def slot_rows(halves: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """First-layer rows of an (n, R, d) part stack in the first and in the
-    second slot of a pair, for ``slot_halves``: (2, n, hidden)."""
-    d = halves.shape[1] // R_PARTS
+    """First-layer rows of an (n, R, d) part stack: in the first and in the
+    second slot of a pair for ``slot_halves``, (2, n, hidden), or in one
+    slot for one of its halves, (n, hidden)."""
+    d = halves.shape[-2] // R_PARTS
     if parts.shape[1:] != (R_PARTS, d):
         raise DimensionError(f"part stack of shape {parts.shape[1:]} does not match parameters "
                              f"(expect (R, d) = ({R_PARTS}, {d}))")

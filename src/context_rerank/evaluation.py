@@ -102,16 +102,16 @@ def select_queries(scenes, max_queries: int = None, seed: int = 0):
 
 
 def _sample_gallery(query: Instance, probe_scene: Scene, scenes, gallery_size: int, seed: int):
-    """Positive scenes forced in, seeded distractors fill up to gallery_size."""
-    pool = [s for s in scenes if s.scene_id != probe_scene.scene_id]
-    positives = [
-        s for s in pool if any(i.identity == query.identity for i in s.instances if i.identity is not None)
-    ]
+    """Positive scenes forced in, seeded distractors fill up to gallery_size.
+    One pass over the other scenes splits them, each list in corpus order."""
+    if query.identity is None:
+        return None
+    positives, distractors = [], []
+    for s in scenes:
+        if s.scene_id != probe_scene.scene_id:
+            (positives if query.identity in [i.identity for i in s.instances] else distractors).append(s)
     if not positives:
         return None
-    distractors = [
-        s for s in pool if not any(i.identity == query.identity for i in s.instances if i.identity is not None)
-    ]
     n_fill = max(0, gallery_size - len(positives))
     if n_fill < len(distractors):
         rng = np.random.default_rng((seed, zlib.crc32(query.instance_id.encode())))

@@ -7,10 +7,11 @@ gallery: scene order, then instance order within each scene.
 scene. Scorers do not change their parameters, and a score depends only on
 the call's inputs: the same call gives the same bits, whatever came before
 it. The attention scorer splits ``w1`` into its two slot halves when it
-is built, runs the first layer once per (person, slot) and sums two rows per
-pair. It keeps the rows of the last probe side, which a call replaces whole
-and never edits, and computes them in the same product whether it keeps
-them or not.
+is built and sums two first-layer rows per pair: a probe gets both of its
+slot rows, and a gallery person only the rows of the slots its pairs put it
+in, so against one probe it gets one. The scorer keeps the rows of the last
+probe side, which a call replaces whole and never edits, and computes them
+in the same product whether it keeps them or not.
 """
 
 from __future__ import annotations
@@ -81,13 +82,16 @@ class AttentionScorer(Scorer):
     def pair_matrix(self, probe_insts, gallery_insts) -> np.ndarray:
         """All cross-pair similarities, canonical pair order applied per pair.
 
-        The first layer runs once per (person, slot) row, and a pair's
-        pre-activation sums the rows of its two persons: the first-slot row
-        of the key-smaller one and the second-slot row of the other. The
-        probe side's rows are kept with its parts and keys for the next call
-        with the same persons (the same objects). A kept probe side and a
-        fresh one are the same product, so a call gives the same bits
-        whatever came before it.
+        A pair's first-layer pre-activation sums one row of each of its two
+        persons: the first-slot row of the key-smaller one and the
+        second-slot row of the other. Each probe gets both rows. A gallery
+        person gets its second-slot row only if some probe's key is not
+        larger than its own, and its first-slot row only if some probe's key
+        is larger, so each half of ``w1`` multiplies only the gallery
+        persons some pair puts in its slot. The probe side's rows are kept
+        with its parts and keys for the next call with the same persons (the
+        same objects). A kept probe side and a fresh one are the same
+        product, so a call gives the same bits whatever came before it.
         """
         n_p, n_g = len(probe_insts), len(gallery_insts)
         if not n_p or not n_g:
@@ -98,14 +102,23 @@ class AttentionScorer(Scorer):
             probe_rows = slot_rows(self._halves, probe_parts) + self.params.b1.data.reshape(-1)
             side = self._probe_side = (tuple(probe_insts), probe_parts,
                                        [i.embedding.key() for i in probe_insts], probe_rows)
-        _, probe_parts, probe_keys, (p_first, p_second) = side
+        _, probe_parts, probe_keys, probe_rows = side
         parts = np.array([i.embedding.parts for i in gallery_insts])
-        g_first, g_second = slot_rows(self._halves, parts)
         # order_pair: the probe takes the first slot where its key is not the larger
         gallery_keys = [i.embedding.key() for i in gallery_insts]
-        first = np.array([[pk <= gk for gk in gallery_keys] for pk in probe_keys])[..., None]
-        pre = np.where(first, g_second, g_first)
-        pre += np.where(first, p_first[:, None], p_second[:, None])
+        first = np.array([[pk <= gk for gk in gallery_keys] for pk in probe_keys])
+        pre = np.empty((n_p, n_g, self._halves.shape[2]))
+        for slot, pairs in ((1, first), (0, ~first)):
+            need = pairs.any(axis=0)
+            if need.all():
+                rows = slot_rows(self._halves[slot], parts)
+            elif need.any():
+                rows = np.empty(pre.shape[1:])
+                rows[need] = slot_rows(self._halves[slot], parts[need])
+            else:
+                continue
+            # the gallery person in this slot pairs with the probe's row of the other
+            np.add(rows, probe_rows[1 - slot][:, None], out=pre, where=pairs[..., None])
         weights = attention_head(self.params, Tensor(pre.reshape(n_p * n_g, -1))).data.reshape(n_p, n_g, -1)
         cos = np.einsum("ird,jrd->ijr", probe_parts, parts)
         return np.einsum("ijr,ijr->ij", cos, weights)

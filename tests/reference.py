@@ -1,8 +1,11 @@
-"""Per-pair reference formulas the tests compare the batched code against.
+"""Per-pair reference formulas the tests compare the batched code against,
+and the two-scan gallery draw the one-pass ``_sample_gallery`` replaces.
 
 No code of the package calls these: the scorers and trainers compute the
 same quantities for whole batches.
 """
+
+import zlib
 
 import numpy as np
 
@@ -43,3 +46,23 @@ def verification_loss(s: float, y: int, cfg) -> float:
     if y == -1:
         return max(0.0, s + cfg.margin)
     raise UsageError(f"verification label must be +1 or -1, got {y!r}")
+
+
+def sample_gallery_two_scans(query, probe_scene, scenes, gallery_size: int, seed: int):
+    """Seeded scene-level gallery with one scan of the other scenes for the
+    positives and a second scan for the distractors."""
+    pool = [s for s in scenes if s.scene_id != probe_scene.scene_id]
+    positives = [
+        s for s in pool if any(i.identity == query.identity for i in s.instances if i.identity is not None)
+    ]
+    if not positives:
+        return None
+    distractors = [
+        s for s in pool if not any(i.identity == query.identity for i in s.instances if i.identity is not None)
+    ]
+    n_fill = max(0, gallery_size - len(positives))
+    if n_fill < len(distractors):
+        rng = np.random.default_rng((seed, zlib.crc32(query.instance_id.encode())))
+        idx = rng.choice(len(distractors), size=n_fill, replace=False)
+        distractors = [distractors[i] for i in sorted(idx)]
+    return positives + distractors

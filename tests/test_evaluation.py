@@ -8,6 +8,7 @@ from context_rerank.embeddings import Instance, PartEmbedding, Scene
 from context_rerank.errors import ConfigError, DataError
 from context_rerank.evaluation import (
     NoRelevantError,
+    _sample_gallery,
     average_precision,
     evaluate,
     gallery_sweep,
@@ -16,6 +17,7 @@ from context_rerank.evaluation import (
     select_queries,
 )
 from context_rerank.scoring import OracleScorer, RandomScorer, UniformScorer
+from reference import sample_gallery_two_scans
 
 
 def brute_force_ap(relevance):
@@ -115,6 +117,28 @@ class TestEvaluate:
             evaluate(queries, small_dataset.scenes, UniformScorer(), 0)
         with pytest.raises(ConfigError):
             evaluate(queries, small_dataset.scenes, UniformScorer(), len(small_dataset.scenes) + 1)
+
+    @pytest.mark.parametrize("gallery_size", [1, 2, 10, 35])
+    def test_sample_gallery_matches_two_scan_reference(self, small_dataset, gallery_size):
+        # every person as a query, and an unlabeled copy of one; size 1 falls
+        # below many queries' number of positive scenes, 35 keeps every scene
+        scenes = small_dataset.scenes
+        queries = [(s, i) for s in scenes for i in s.instances]
+        s0, q0 = queries[0]
+        queries.append((s0, Instance("unlabeled", s0.scene_id, q0.box, None, q0.embedding)))
+        below = 0
+        for probe_scene, query in queries:
+            got = _sample_gallery(query, probe_scene, scenes, gallery_size, seed=3)
+            want = sample_gallery_two_scans(query, probe_scene, scenes, gallery_size, seed=3)
+            if want is None:
+                assert got is None
+                continue
+            assert [s.scene_id for s in got] == [s.scene_id for s in want]
+            n_pos = sum(any(i.identity == query.identity for i in s.instances)
+                        for s in scenes if s.scene_id != probe_scene.scene_id)
+            below += n_pos > gallery_size
+        assert below or gallery_size > 1
+        assert _sample_gallery(queries[-1][1], s0, scenes, gallery_size, seed=3) is None
 
     def test_select_queries_all_have_cross_scene_match(self, small_dataset):
         for probe_scene, q in select_queries(small_dataset.scenes):

@@ -142,6 +142,51 @@ class TestAttentionScorer:
                 w = attention_weights_batch(params, pair_descriptor(*order_pair(p.embedding, g.embedding))[None])[0]
                 assert m[i, j] == pytest.approx(fused_similarity(p.embedding, g.embedding, w), abs=1e-12)
 
+    @pytest.mark.parametrize("probes, gallery", [
+        ([0], [1, 2, 3, 4]),  # the probe's key is below every gallery key: no first-slot product
+        ([5], [0, 1, 2, 3]),  # above every gallery key: no second-slot product
+        ([2], [0, "copy", 4]),  # a gallery person with the probe's embedding
+        ([3], [1]),  # a single gallery person
+        ([1, 3], [2, 4]),  # person 2 sits between the probes and needs both halves, 4 only one
+    ])
+    def test_slot_row_edge_cases_match_descriptor_reference(self, probes, gallery):
+        params = init_attention_params(np.random.default_rng(5), 8, hidden=16)
+        ranked = sorted((make_instance(f"e{i}", "s") for i in range(6)), key=lambda i: i.embedding.key())
+        probes = [ranked[i] for i in probes]
+        gallery = [Instance("copy", "sg", (0, 0, 10, 20), None, probes[0].embedding) if i == "copy" else ranked[i]
+                   for i in gallery]
+        m = AttentionScorer(params).pair_matrix(probes, gallery)
+        for i, p in enumerate(probes):
+            for j, g in enumerate(gallery):
+                w = attention_weights_batch(params, pair_descriptor(*order_pair(p.embedding, g.embedding))[None])[0]
+                assert m[i, j] == pytest.approx(fused_similarity(p.embedding, g.embedding, w), abs=1e-12)
+        warm = AttentionScorer(params)
+        warm.pair_matrix(probes, ranked)
+        assert np.array_equal(warm.pair_matrix(probes, gallery), m)
+
+    def test_one_probe_multiplies_each_gallery_person_by_one_half(self):
+        # counts the rows multiplied by a slot half of w1 (a row times both
+        # halves counts twice); the probe's own rows come from the warm call
+        class CountingHalves(np.ndarray):
+            rows = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    a, b = inputs
+                    CountingHalves.rows += a.shape[-2] * (b.shape[0] if b.ndim == 3 else 1)
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        params = init_attention_params(np.random.default_rng(6), 8, hidden=16)
+        probe = make_instance("one", "sp")
+        gallery = [make_instance(f"row{i}", "sg") for i in range(9)]
+        scorer = AttentionScorer(params)
+        expected = scorer.pair_matrix([probe], gallery)
+        scorer._halves = scorer._halves.view(CountingHalves)
+        scorer.pair_matrix([probe], gallery[:1])
+        CountingHalves.rows = 0
+        assert np.array_equal(scorer.pair_matrix([probe], gallery), expected)
+        assert CountingHalves.rows == len(gallery)
+
     def test_persons_of_another_dim_raise(self):
         scorer = AttentionScorer(init_attention_params(np.random.default_rng(4), 8, hidden=16))
         wide = [make_instance("w0", "sw", d=16)]
@@ -173,6 +218,9 @@ class TestAttentionScorer:
             for gallery_scene in scenes:
                 expected = AttentionScorer(params).pair_matrix(probe_scene.instances, gallery_scene.instances)
                 assert np.array_equal(scorer.pair_matrix(probe_scene.instances, gallery_scene.instances), expected)
+                for p in probe_scene.instances:
+                    expected = AttentionScorer(params).pair_matrix([p], gallery_scene.instances)
+                    assert np.array_equal(scorer.pair_matrix([p], gallery_scene.instances), expected)
 
     def test_pair_matrix_shape_and_symmetry(self, scene_pair):
         ps, gs = scene_pair
